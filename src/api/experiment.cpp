@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -523,417 +524,223 @@ std::vector<ExperimentSpec> ExperimentSpec::expand_sweep() const {
   return out;
 }
 
-// ------------------------------------------------------------- to_json
+// ------------------------------------------------------------ JSON codec
+//
+// Every config struct has one field table (a fields() overload) listing its
+// JSON keys in schema order, the member each key maps to and when the key
+// is written. The same table drives to_json (write_fields) and from_json
+// (read_fields), and both go through one typed codec per value type
+// (encode / decode). The irregular sections are coded explicitly on top:
+// RateProfile's kind-dependent parameters, the pool vs homogeneous
+// deployment forms, the `execution.threads` nesting, the named-scenario
+// workload, and pool / fault-profile errors that cite the element by name.
 
 namespace {
 
-/// Emits `key` only when the value differs from the default — spec files
-/// stay minimal and diffable while the round trip stays lossless (parsing
-/// starts from the same defaults).
-template <typename T>
-void set_unless_default(JsonValue& obj, const char* key, const T& value,
-                        const T& dflt, JsonValue encoded) {
-  if (!(value == dflt)) obj.set(key, std::move(encoded));
+/// When a field is written. kNonDefault omits it while it equals the
+/// default-constructed struct's value: spec files stay minimal and diffable
+/// while the round trip stays lossless (parsing starts from the same
+/// defaults).
+enum class Emit { kAlways, kNonDefault };
+constexpr Emit kAlways = Emit::kAlways;
+constexpr Emit kNonDefault = Emit::kNonDefault;
+
+// The field tables: fields(std::type_identity<S>, f) calls
+// f(key, emit, member...) once per field of S, in schema order;
+// `member...` is the member-pointer path to the value.
+
+void fields(std::type_identity<SloSpec>, auto&& f) {
+  f("ttft_target_s", kAlways, &SloSpec::ttft_target);
+  f("tbt_target_s", kAlways, &SloSpec::tbt_target);
 }
 
-template <typename T>
-JsonValue number_array(const std::vector<T>& values) {
-  JsonValue arr = JsonValue::array();
-  for (const T& v : values) arr.push(JsonValue(v));
-  return arr;
+void fields(std::type_identity<ArrivalSpec>, auto&& f) {
+  f("kind", kAlways, &ArrivalSpec::kind);
+  f("qps", kAlways, &ArrivalSpec::qps);
+  f("cv", kAlways, &ArrivalSpec::cv);
 }
 
-JsonValue string_array(const std::vector<std::string>& values) {
-  JsonValue arr = JsonValue::array();
-  for (const std::string& v : values) arr.push(v);
-  return arr;
+void fields(std::type_identity<SchedulerConfig>, auto&& f) {
+  using S = SchedulerConfig;
+  f("kind", kAlways, &S::kind);
+  f("max_batch_size", kNonDefault, &S::max_batch_size);
+  f("max_tokens_per_iteration", kNonDefault, &S::max_tokens_per_iteration);
+  f("chunk_size", kNonDefault, &S::chunk_size);
+  f("watermark_fraction", kNonDefault, &S::watermark_fraction);
 }
 
-JsonValue profile_json(const RateProfile& p) {
-  JsonValue j = JsonValue::object();
-  j.set("kind", rate_profile_kind_name(p.kind()));
-  switch (p.kind()) {
-    case RateProfileKind::kConstant:
-      break;
-    case RateProfileKind::kDiurnal:
-      j.set("period_s", p.raw_t0());
-      j.set("low", p.raw_a());
-      j.set("high", p.raw_b());
-      break;
-    case RateProfileKind::kRamp:
-      j.set("start", p.raw_a());
-      j.set("end", p.raw_b());
-      j.set("duration_s", p.raw_t0());
-      break;
-    case RateProfileKind::kSpike:
-      j.set("baseline", p.raw_a());
-      j.set("spike", p.raw_b());
-      j.set("start_s", p.raw_t0());
-      j.set("duration_s", p.raw_t1());
-      break;
-    case RateProfileKind::kPiecewise: {
-      JsonValue steps = JsonValue::array();
-      for (const RateStep& s : p.steps()) {
-        JsonValue step = JsonValue::array();
-        step.push(s.start_time);
-        step.push(s.factor);
-        steps.push(std::move(step));
-      }
-      j.set("steps", std::move(steps));
-      break;
-    }
-  }
-  return j;
+void fields(std::type_identity<DisaggConfig>, auto&& f) {
+  using S = DisaggConfig;
+  f("num_prefill_replicas", kAlways, &S::num_prefill_replicas);
+  f("transfer_bandwidth_gbps", kNonDefault, &S::transfer_bandwidth_gbps);
+  f("transfer_latency_s", kNonDefault, &S::transfer_latency);
 }
 
-JsonValue arrival_json(const ArrivalSpec& a) {
-  JsonValue j = JsonValue::object();
-  j.set("kind", arrival_kind_name(a.kind));
-  j.set("qps", a.qps);
-  j.set("cv", a.cv);
-  return j;
+void fields(std::type_identity<AutoscalerConfig>, auto&& f) {
+  using S = AutoscalerConfig;
+  f("kind", kAlways, &S::kind);
+  f("signal", kNonDefault, &S::signal);
+  f("target_kv_utilization", kNonDefault, &S::target_kv_utilization);
+  f("scale_up_kv_utilization", kNonDefault, &S::scale_up_kv_utilization);
+  f("scale_down_kv_utilization", kNonDefault,
+    &S::scale_down_kv_utilization);
+  f("min_replicas", kNonDefault, &S::min_replicas);
+  f("initial_replicas", kNonDefault, &S::initial_replicas);
+  f("provision_delay_s", kNonDefault, &S::provision_delay);
+  f("warmup_delay_s", kNonDefault, &S::warmup_delay);
+  f("decision_interval_s", kNonDefault, &S::decision_interval);
+  f("scale_up_cooldown_s", kNonDefault, &S::scale_up_cooldown);
+  f("scale_down_cooldown_s", kNonDefault, &S::scale_down_cooldown);
+  f("max_scale_step", kNonDefault, &S::max_scale_step);
+  f("target_load_per_replica", kNonDefault, &S::target_load_per_replica);
+  f("scale_up_load", kNonDefault, &S::scale_up_load);
+  f("scale_down_load", kNonDefault, &S::scale_down_load);
+  f("profile", kNonDefault, &S::profile);
+  f("baseline_qps", kNonDefault, &S::baseline_qps);
+  f("replica_capacity_qps", kNonDefault, &S::replica_capacity_qps);
+  f("headroom", kNonDefault, &S::headroom);
+  f("lookahead_s", kNonDefault, &S::lookahead);
 }
 
-JsonValue slo_json(const SloSpec& s) {
-  JsonValue j = JsonValue::object();
-  j.set("ttft_target_s", s.ttft_target);
-  j.set("tbt_target_s", s.tbt_target);
-  return j;
+void fields(std::type_identity<PrefixCacheConfig>, auto&& f) {
+  f("enabled", kAlways, &PrefixCacheConfig::enabled);
+  f("capacity_fraction", kNonDefault, &PrefixCacheConfig::capacity_fraction);
 }
 
-JsonValue scheduler_json(const SchedulerConfig& s) {
-  const SchedulerConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("kind", scheduler_name(s.kind));
-  set_unless_default(j, "max_batch_size", s.max_batch_size, d.max_batch_size,
-                     s.max_batch_size);
-  set_unless_default(j, "max_tokens_per_iteration",
-                     s.max_tokens_per_iteration, d.max_tokens_per_iteration,
-                     s.max_tokens_per_iteration);
-  set_unless_default(j, "chunk_size", s.chunk_size, d.chunk_size,
-                     s.chunk_size);
-  set_unless_default(j, "watermark_fraction", s.watermark_fraction,
-                     d.watermark_fraction, s.watermark_fraction);
-  return j;
+void fields(std::type_identity<SpotWindow>, auto&& f) {
+  f("start_s", kAlways, &SpotWindow::start);
+  f("duration_s", kAlways, &SpotWindow::duration);
+  f("replicas", kNonDefault, &SpotWindow::replicas);
+  f("notice_s", kNonDefault, &SpotWindow::notice);
 }
 
-JsonValue disagg_json(const DisaggConfig& c) {
-  const DisaggConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("num_prefill_replicas", c.num_prefill_replicas);
-  set_unless_default(j, "transfer_bandwidth_gbps", c.transfer_bandwidth_gbps,
-                     d.transfer_bandwidth_gbps, c.transfer_bandwidth_gbps);
-  set_unless_default(j, "transfer_latency_s", c.transfer_latency,
-                     d.transfer_latency, c.transfer_latency);
-  return j;
+void fields(std::type_identity<FaultProfile>, auto&& f) {
+  using S = FaultProfile;
+  f("pool", kNonDefault, &S::pool);
+  f("crash_mtbf_s", kNonDefault, &S::crash_mtbf_s);
+  f("spot_windows", kNonDefault, &S::spot_windows);
+  f("degrade_mtbf_s", kNonDefault, &S::degrade_mtbf_s);
+  f("degrade_factor", kNonDefault, &S::degrade_factor);
+  f("degrade_duration_s", kNonDefault, &S::degrade_duration_s);
 }
 
-JsonValue autoscale_json(const AutoscalerConfig& c) {
-  const AutoscalerConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("kind", autoscaler_name(c.kind));
-  set_unless_default(j, "signal", c.signal, d.signal,
-                     scale_signal_name(c.signal));
-  set_unless_default(j, "target_kv_utilization", c.target_kv_utilization,
-                     d.target_kv_utilization, c.target_kv_utilization);
-  set_unless_default(j, "scale_up_kv_utilization", c.scale_up_kv_utilization,
-                     d.scale_up_kv_utilization, c.scale_up_kv_utilization);
-  set_unless_default(j, "scale_down_kv_utilization",
-                     c.scale_down_kv_utilization,
-                     d.scale_down_kv_utilization,
-                     c.scale_down_kv_utilization);
-  set_unless_default(j, "min_replicas", c.min_replicas, d.min_replicas,
-                     c.min_replicas);
-  set_unless_default(j, "initial_replicas", c.initial_replicas,
-                     d.initial_replicas, c.initial_replicas);
-  set_unless_default(j, "provision_delay_s", c.provision_delay,
-                     d.provision_delay, c.provision_delay);
-  set_unless_default(j, "warmup_delay_s", c.warmup_delay, d.warmup_delay,
-                     c.warmup_delay);
-  set_unless_default(j, "decision_interval_s", c.decision_interval,
-                     d.decision_interval, c.decision_interval);
-  set_unless_default(j, "scale_up_cooldown_s", c.scale_up_cooldown,
-                     d.scale_up_cooldown, c.scale_up_cooldown);
-  set_unless_default(j, "scale_down_cooldown_s", c.scale_down_cooldown,
-                     d.scale_down_cooldown, c.scale_down_cooldown);
-  set_unless_default(j, "max_scale_step", c.max_scale_step, d.max_scale_step,
-                     c.max_scale_step);
-  set_unless_default(j, "target_load_per_replica", c.target_load_per_replica,
-                     d.target_load_per_replica, c.target_load_per_replica);
-  set_unless_default(j, "scale_up_load", c.scale_up_load, d.scale_up_load,
-                     c.scale_up_load);
-  set_unless_default(j, "scale_down_load", c.scale_down_load,
-                     d.scale_down_load, c.scale_down_load);
-  set_unless_default(j, "profile", c.profile, d.profile,
-                     profile_json(c.profile));
-  set_unless_default(j, "baseline_qps", c.baseline_qps, d.baseline_qps,
-                     c.baseline_qps);
-  set_unless_default(j, "replica_capacity_qps", c.replica_capacity_qps,
-                     d.replica_capacity_qps, c.replica_capacity_qps);
-  set_unless_default(j, "headroom", c.headroom, d.headroom, c.headroom);
-  set_unless_default(j, "lookahead_s", c.lookahead, d.lookahead, c.lookahead);
-  return j;
+void fields(std::type_identity<RecoveryPolicy>, auto&& f) {
+  using S = RecoveryPolicy;
+  f("max_attempts", kNonDefault, &S::max_attempts);
+  f("backoff_base_s", kNonDefault, &S::backoff_base_s);
+  f("backoff_multiplier", kNonDefault, &S::backoff_multiplier);
+  f("jitter", kNonDefault, &S::jitter);
 }
 
-JsonValue prefix_cache_json(const PrefixCacheConfig& c) {
-  const PrefixCacheConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("enabled", c.enabled);
-  set_unless_default(j, "capacity_fraction", c.capacity_fraction,
-                     d.capacity_fraction, c.capacity_fraction);
-  return j;
+void fields(std::type_identity<ShedPolicy>, auto&& f) {
+  f("min_active_replicas", kAlways, &ShedPolicy::min_active_replicas);
+  f("max_shed_priority", kNonDefault, &ShedPolicy::max_shed_priority);
 }
 
-JsonValue fault_profile_json(const FaultProfile& p) {
-  const FaultProfile d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "pool", p.pool, d.pool, p.pool);
-  set_unless_default(j, "crash_mtbf_s", p.crash_mtbf_s, d.crash_mtbf_s,
-                     p.crash_mtbf_s);
-  if (!p.spot_windows.empty()) {
-    JsonValue windows = JsonValue::array();
-    for (const SpotWindow& w : p.spot_windows) {
-      const SpotWindow wd;
-      JsonValue wj = JsonValue::object();
-      wj.set("start_s", w.start);
-      wj.set("duration_s", w.duration);
-      set_unless_default(wj, "replicas", w.replicas, wd.replicas, w.replicas);
-      set_unless_default(wj, "notice_s", w.notice, wd.notice, w.notice);
-      windows.push(std::move(wj));
-    }
-    j.set("spot_windows", std::move(windows));
-  }
-  set_unless_default(j, "degrade_mtbf_s", p.degrade_mtbf_s, d.degrade_mtbf_s,
-                     p.degrade_mtbf_s);
-  set_unless_default(j, "degrade_factor", p.degrade_factor, d.degrade_factor,
-                     p.degrade_factor);
-  set_unless_default(j, "degrade_duration_s", p.degrade_duration_s,
-                     d.degrade_duration_s, p.degrade_duration_s);
-  return j;
+void fields(std::type_identity<FaultConfig>, auto&& f) {
+  f("seed", kNonDefault, &FaultConfig::seed);
+  f("profiles", kAlways, &FaultConfig::profiles);
+  f("recovery", kNonDefault, &FaultConfig::recovery);
+  f("shed", kNonDefault, &FaultConfig::shed);
 }
 
-JsonValue faults_json(const FaultConfig& c) {
-  const FaultConfig d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "seed", c.seed, d.seed,
-                     static_cast<std::int64_t>(c.seed));
-  JsonValue profiles = JsonValue::array();
-  for (const FaultProfile& p : c.profiles)
-    profiles.push(fault_profile_json(p));
-  j.set("profiles", std::move(profiles));
-  if (!(c.recovery == d.recovery)) {
-    const RecoveryPolicy rd;
-    JsonValue rj = JsonValue::object();
-    set_unless_default(rj, "max_attempts", c.recovery.max_attempts,
-                       rd.max_attempts, c.recovery.max_attempts);
-    set_unless_default(rj, "backoff_base_s", c.recovery.backoff_base_s,
-                       rd.backoff_base_s, c.recovery.backoff_base_s);
-    set_unless_default(rj, "backoff_multiplier",
-                       c.recovery.backoff_multiplier, rd.backoff_multiplier,
-                       c.recovery.backoff_multiplier);
-    set_unless_default(rj, "jitter", c.recovery.jitter, rd.jitter,
-                       c.recovery.jitter);
-    j.set("recovery", std::move(rj));
-  }
-  if (!(c.shed == d.shed)) {
-    const ShedPolicy sd;
-    JsonValue sj = JsonValue::object();
-    sj.set("min_active_replicas", c.shed.min_active_replicas);
-    set_unless_default(sj, "max_shed_priority", c.shed.max_shed_priority,
-                       sd.max_shed_priority, c.shed.max_shed_priority);
-    j.set("shed", std::move(sj));
-  }
-  return j;
+void fields(std::type_identity<PoolSpec>, auto&& f) {
+  using S = PoolSpec;
+  using P = ParallelConfig;
+  f("name", kAlways, &S::name);
+  f("sku", kAlways, &S::sku_name);
+  f("role", kNonDefault, &S::role);
+  f("tensor_parallel", kNonDefault, &S::parallel, &P::tensor_parallel);
+  f("pipeline_parallel", kNonDefault, &S::parallel, &P::pipeline_parallel);
+  f("num_replicas", kAlways, &S::parallel, &P::num_replicas);
+  f("cost_per_gpu_hour", kNonDefault, &S::cost_per_gpu_hour);
+  f("capacity_qps", kNonDefault, &S::capacity_qps);
+  f("autoscale", kNonDefault, &S::autoscale);
 }
 
-JsonValue pool_json(const PoolSpec& p) {
-  const PoolSpec d;
-  JsonValue j = JsonValue::object();
-  j.set("name", p.name);
-  j.set("sku", p.sku_name);
-  set_unless_default(j, "role", p.role, d.role, pool_role_name(p.role));
-  set_unless_default(j, "tensor_parallel", p.parallel.tensor_parallel,
-                     d.parallel.tensor_parallel, p.parallel.tensor_parallel);
-  set_unless_default(j, "pipeline_parallel", p.parallel.pipeline_parallel,
-                     d.parallel.pipeline_parallel,
-                     p.parallel.pipeline_parallel);
-  j.set("num_replicas", p.parallel.num_replicas);
-  set_unless_default(j, "cost_per_gpu_hour", p.cost_per_gpu_hour,
-                     d.cost_per_gpu_hour, p.cost_per_gpu_hour);
-  set_unless_default(j, "capacity_qps", p.capacity_qps, d.capacity_qps,
-                     p.capacity_qps);
-  set_unless_default(j, "autoscale", p.autoscale, d.autoscale,
-                     autoscale_json(p.autoscale));
-  return j;
+/// The homogeneous form; encode(DeploymentConfig) derives the pool form
+/// and adds `execution`.
+void fields(std::type_identity<DeploymentConfig>, auto&& f) {
+  using S = DeploymentConfig;
+  using P = ParallelConfig;
+  f("sku", kAlways, &S::sku_name);
+  f("tensor_parallel", kAlways, &S::parallel, &P::tensor_parallel);
+  f("pipeline_parallel", kAlways, &S::parallel, &P::pipeline_parallel);
+  f("num_replicas", kAlways, &S::parallel, &P::num_replicas);
+  f("scheduler", kNonDefault, &S::scheduler);
+  f("global_scheduler", kNonDefault, &S::global_scheduler);
+  f("async_pipeline_comm", kNonDefault, &S::async_pipeline_comm);
+  f("disagg", kNonDefault, &S::disagg);
+  f("autoscale", kNonDefault, &S::autoscale);
+  f("pools", kNonDefault, &S::pools);
+  f("prefix_cache", kNonDefault, &S::prefix_cache);
+  f("faults", kNonDefault, &S::faults);
 }
 
-JsonValue deployment_json(const DeploymentConfig& c) {
-  const DeploymentConfig d;
-  JsonValue j = JsonValue::object();
-  if (!c.pools.empty()) {
-    // The pool list supersedes the homogeneous SKU/parallelism fields;
-    // emitting both would invite divergence in hand-edited specs.
-    JsonValue pools = JsonValue::array();
-    for (const PoolSpec& p : c.pools) pools.push(pool_json(p));
-    j.set("pools", std::move(pools));
-    set_unless_default(j, "scheduler", c.scheduler, d.scheduler,
-                       scheduler_json(c.scheduler));
-    set_unless_default(j, "global_scheduler", c.global_scheduler,
-                       d.global_scheduler,
-                       global_scheduler_name(c.global_scheduler));
-    set_unless_default(j, "async_pipeline_comm", c.async_pipeline_comm,
-                       d.async_pipeline_comm, c.async_pipeline_comm);
-    set_unless_default(j, "disagg", c.disagg, d.disagg,
-                       disagg_json(c.disagg));
-    set_unless_default(j, "prefix_cache", c.prefix_cache, d.prefix_cache,
-                       prefix_cache_json(c.prefix_cache));
-    set_unless_default(j, "faults", c.faults, d.faults,
-                       faults_json(c.faults));
-    if (c.threads != d.threads) {
-      JsonValue e = JsonValue::object();
-      e.set("threads", c.threads);
-      j.set("execution", std::move(e));
-    }
-    return j;
-  }
-  j.set("sku", c.sku_name);
-  j.set("tensor_parallel", c.parallel.tensor_parallel);
-  j.set("pipeline_parallel", c.parallel.pipeline_parallel);
-  j.set("num_replicas", c.parallel.num_replicas);
-  set_unless_default(j, "scheduler", c.scheduler, d.scheduler,
-                     scheduler_json(c.scheduler));
-  set_unless_default(j, "global_scheduler", c.global_scheduler,
-                     d.global_scheduler,
-                     global_scheduler_name(c.global_scheduler));
-  set_unless_default(j, "async_pipeline_comm", c.async_pipeline_comm,
-                     d.async_pipeline_comm, c.async_pipeline_comm);
-  set_unless_default(j, "disagg", c.disagg, d.disagg, disagg_json(c.disagg));
-  set_unless_default(j, "autoscale", c.autoscale, d.autoscale,
-                     autoscale_json(c.autoscale));
-  set_unless_default(j, "prefix_cache", c.prefix_cache, d.prefix_cache,
-                     prefix_cache_json(c.prefix_cache));
-  set_unless_default(j, "faults", c.faults, d.faults, faults_json(c.faults));
-  // Default-omitted like every other knob, so committed specs stay exact
-  // serializer fixed points.
-  if (c.threads != d.threads) {
-    JsonValue e = JsonValue::object();
-    e.set("threads", c.threads);
-    j.set("execution", std::move(e));
-  }
-  return j;
+/// The synthetic form; encode/decode(WorkloadSpec) handle named scenarios.
+void fields(std::type_identity<WorkloadSpec>, auto&& f) {
+  f("scenario", kNonDefault, &WorkloadSpec::scenario);
+  f("trace", kAlways, &WorkloadSpec::trace);
+  f("arrival", kAlways, &WorkloadSpec::arrival);
+  f("num_requests", kAlways, &WorkloadSpec::num_requests);
 }
 
-JsonValue workload_json(const WorkloadSpec& w) {
-  JsonValue j = JsonValue::object();
-  if (!w.synthetic()) {
-    j.set("scenario", w.scenario);
-    if (w.num_requests != 0) j.set("num_requests", w.num_requests);
-    return j;
-  }
-  j.set("trace", w.trace);
-  j.set("arrival", arrival_json(w.arrival));
-  j.set("num_requests", w.num_requests);
-  return j;
+void fields(std::type_identity<SearchSpace>, auto&& f) {
+  using S = SearchSpace;
+  f("skus", kNonDefault, &S::skus);
+  f("tp_degrees", kNonDefault, &S::tp_degrees);
+  f("pp_degrees", kNonDefault, &S::pp_degrees);
+  f("max_total_gpus", kNonDefault, &S::max_total_gpus);
+  f("schedulers", kNonDefault, &S::schedulers);
+  f("batch_sizes", kNonDefault, &S::batch_sizes);
+  f("sarathi_chunk_sizes", kNonDefault, &S::sarathi_chunk_sizes);
+  f("max_tokens_per_iteration", kNonDefault, &S::max_tokens_per_iteration);
+  f("global_scheduler", kNonDefault, &S::global_scheduler);
 }
 
-JsonValue search_json(const SearchSpace& s) {
-  const SearchSpace d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "skus", s.skus, d.skus, string_array(s.skus));
-  set_unless_default(j, "tp_degrees", s.tp_degrees, d.tp_degrees,
-                     number_array(s.tp_degrees));
-  set_unless_default(j, "pp_degrees", s.pp_degrees, d.pp_degrees,
-                     number_array(s.pp_degrees));
-  set_unless_default(j, "max_total_gpus", s.max_total_gpus, d.max_total_gpus,
-                     s.max_total_gpus);
-  if (s.schedulers != d.schedulers) {
-    JsonValue arr = JsonValue::array();
-    for (const SchedulerKind k : s.schedulers) arr.push(scheduler_name(k));
-    j.set("schedulers", std::move(arr));
-  }
-  set_unless_default(j, "batch_sizes", s.batch_sizes, d.batch_sizes,
-                     number_array(s.batch_sizes));
-  set_unless_default(j, "sarathi_chunk_sizes", s.sarathi_chunk_sizes,
-                     d.sarathi_chunk_sizes,
-                     number_array(s.sarathi_chunk_sizes));
-  set_unless_default(j, "max_tokens_per_iteration",
-                     s.max_tokens_per_iteration, d.max_tokens_per_iteration,
-                     s.max_tokens_per_iteration);
-  set_unless_default(j, "global_scheduler", s.global_scheduler,
-                     d.global_scheduler,
-                     global_scheduler_name(s.global_scheduler));
-  return j;
+void fields(std::type_identity<ElasticPlanSpec>, auto&& f) {
+  f("slo_target", kAlways, &ElasticPlanSpec::slo_target);
+  f("max_replicas", kAlways, &ElasticPlanSpec::max_replicas);
+  f("burst_slots", kAlways, &ElasticPlanSpec::burst_slots);
 }
 
-JsonValue elastic_json(const ElasticPlanSpec& e) {
-  JsonValue j = JsonValue::object();
-  j.set("slo_target", e.slo_target);
-  j.set("max_replicas", e.max_replicas);
-  j.set("burst_slots", e.burst_slots);
-  return j;
+void fields(std::type_identity<ObsSpec>, auto&& f) {
+  f("trace", kNonDefault, &ObsSpec::trace);
+  f("trace_capacity", kNonDefault, &ObsSpec::trace_capacity);
+  f("rolling_window_s", kNonDefault, &ObsSpec::rolling_window_s);
+  f("analyze", kNonDefault, &ObsSpec::analyze);
 }
 
-JsonValue obs_json(const ObsSpec& o) {
-  const ObsSpec d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "trace", o.trace, d.trace, o.trace);
-  set_unless_default(j, "trace_capacity", o.trace_capacity, d.trace_capacity,
-                     o.trace_capacity);
-  set_unless_default(j, "rolling_window_s", o.rolling_window_s,
-                     d.rolling_window_s, o.rolling_window_s);
-  set_unless_default(j, "analyze", o.analyze, d.analyze, o.analyze);
-  return j;
+void fields(std::type_identity<SweepAxes>, auto&& f) {
+  using S = SweepAxes;
+  f("sku", kNonDefault, &S::sku);
+  f("tensor_parallel", kNonDefault, &S::tensor_parallel);
+  f("pipeline_parallel", kNonDefault, &S::pipeline_parallel);
+  f("num_replicas", kNonDefault, &S::num_replicas);
+  f("scheduler", kNonDefault, &S::scheduler);
+  f("max_batch_size", kNonDefault, &S::max_batch_size);
+  f("chunk_size", kNonDefault, &S::chunk_size);
+  f("qps", kNonDefault, &S::qps);
 }
 
-JsonValue sweep_json(const SweepAxes& s) {
-  const SweepAxes d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "sku", s.sku, d.sku, string_array(s.sku));
-  set_unless_default(j, "tensor_parallel", s.tensor_parallel,
-                     d.tensor_parallel, number_array(s.tensor_parallel));
-  set_unless_default(j, "pipeline_parallel", s.pipeline_parallel,
-                     d.pipeline_parallel, number_array(s.pipeline_parallel));
-  set_unless_default(j, "num_replicas", s.num_replicas, d.num_replicas,
-                     number_array(s.num_replicas));
-  set_unless_default(j, "scheduler", s.scheduler, d.scheduler,
-                     string_array(s.scheduler));
-  set_unless_default(j, "max_batch_size", s.max_batch_size, d.max_batch_size,
-                     number_array(s.max_batch_size));
-  set_unless_default(j, "chunk_size", s.chunk_size, d.chunk_size,
-                     number_array(s.chunk_size));
-  set_unless_default(j, "qps", s.qps, d.qps, number_array(s.qps));
-  return j;
+void fields(std::type_identity<ExperimentSpec>, auto&& f) {
+  using S = ExperimentSpec;
+  f("name", kAlways, &S::name);
+  f("mode", kAlways, &S::mode);
+  f("model", kAlways, &S::model);
+  f("deployment", kAlways, &S::deployment);
+  f("workload", kAlways, &S::workload);
+  f("slo", kNonDefault, &S::slo);
+  f("seed", kNonDefault, &S::seed);
+  f("tp_degrees", kNonDefault, &S::tp_degrees);
+  f("num_threads", kNonDefault, &S::num_threads);
+  f("search", kNonDefault, &S::search);
+  f("elastic", kNonDefault, &S::elastic);
+  f("obs", kNonDefault, &S::obs);
+  f("sweep", kNonDefault, &S::sweep);
 }
 
-}  // namespace
-
-JsonValue ExperimentSpec::to_json() const {
-  const ExperimentSpec d;
-  JsonValue j = JsonValue::object();
-  j.set("name", name);
-  j.set("mode", experiment_mode_name(mode));
-  j.set("model", model);
-  j.set("deployment", deployment_json(deployment));
-  j.set("workload", workload_json(workload));
-  set_unless_default(j, "slo", slo, d.slo, slo_json(slo));
-  set_unless_default(j, "seed", seed, d.seed,
-                     static_cast<std::int64_t>(seed));
-  set_unless_default(j, "tp_degrees", tp_degrees, d.tp_degrees,
-                     number_array(tp_degrees));
-  set_unless_default(j, "num_threads", num_threads, d.num_threads,
-                     num_threads);
-  set_unless_default(j, "search", search, d.search, search_json(search));
-  set_unless_default(j, "elastic", elastic, d.elastic, elastic_json(elastic));
-  set_unless_default(j, "obs", obs, d.obs, obs_json(obs));
-  set_unless_default(j, "sweep", sweep, d.sweep, sweep_json(sweep));
-  return j;
-}
-
-std::string ExperimentSpec::to_json_string() const { return to_json().dump(); }
-
-// ------------------------------------------------------------ from_json
-
-namespace {
+// ---------------------------------------------------------- scalar reads
 
 /// Strict object reader: every member must match a known field; unknown
 /// keys fail with a did-you-mean so a typo in a spec file is caught at
@@ -968,10 +775,14 @@ class FieldReader {
   std::vector<std::string> known_;
 };
 
-int to_int(const JsonValue& v, const char* what) {
+std::int64_t to_int64(const JsonValue& v, const char* what) {
   VIDUR_CHECK_MSG(v.is_int(), "spec field '" << what
                                              << "' must be an integer");
-  const std::int64_t raw = v.as_int();
+  return v.as_int();
+}
+
+int to_int(const JsonValue& v, const char* what) {
+  const std::int64_t raw = to_int64(v, what);
   VIDUR_CHECK_MSG(raw >= std::numeric_limits<int>::min() &&
                       raw <= std::numeric_limits<int>::max(),
                   "spec field '" << what << "' value " << raw
@@ -997,673 +808,348 @@ std::string to_str(const JsonValue& v, const char* what) {
   return v.as_string();
 }
 
-std::vector<int> to_int_vec(const JsonValue& v, const char* what) {
-  std::vector<int> out;
-  for (const JsonValue& item : v.items()) out.push_back(to_int(item, what));
-  return out;
+// ---------------------------------------------------------- typed codecs
+
+// Enums travel by their stable names: {name-of, from-name}.
+auto names_of(ExperimentMode) {
+  return std::pair{&experiment_mode_name, &experiment_mode_from_name};
+}
+auto names_of(SchedulerKind) {
+  return std::pair{&scheduler_name, &scheduler_from_name};
+}
+auto names_of(GlobalSchedulerKind) {
+  return std::pair{&global_scheduler_name, &global_scheduler_from_name};
+}
+auto names_of(AutoscalerKind) {
+  return std::pair{&autoscaler_name, &autoscaler_from_name};
+}
+auto names_of(ScaleSignal) {
+  return std::pair{&scale_signal_name, &scale_signal_from_name};
+}
+auto names_of(ArrivalKind) {
+  return std::pair{&arrival_kind_name, &arrival_kind_from_name};
+}
+auto names_of(PoolRole) {
+  return std::pair{&pool_role_name, &pool_role_from_name};
 }
 
-std::vector<double> to_double_vec(const JsonValue& v, const char* what) {
-  std::vector<double> out;
-  for (const JsonValue& item : v.items())
-    out.push_back(to_double(item, what));
-  return out;
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// The sections coded by hand. `path` is the value's dotted spec path, the
+/// context its own parse errors cite.
+JsonValue encode(const RateProfile& p);
+JsonValue encode(const DeploymentConfig& c);
+JsonValue encode(const WorkloadSpec& w);
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            RateProfile& out);
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            PoolRole& out);
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            std::vector<PoolSpec>& out);
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            std::vector<FaultProfile>& out);
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            DeploymentConfig& out);
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            WorkloadSpec& out);
+
+template <typename S>
+JsonValue write_fields(const S& obj);
+template <typename S>
+S read_section(const JsonValue& j, const std::string& context);
+
+template <typename T>
+JsonValue encode(const T& value) {
+  if constexpr (std::is_enum_v<T>) {
+    return names_of(value).first(value);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    // Seeds >= 2^63 are written as negative int64 and read back bit for bit.
+    return static_cast<std::int64_t>(value);
+  } else if constexpr (kIsVector<T>) {
+    JsonValue arr = JsonValue::array();
+    for (const auto& item : value) arr.push(encode(item));
+    return arr;
+  } else if constexpr (std::is_class_v<T> &&
+                       !std::is_same_v<T, std::string>) {
+    return write_fields(value);
+  } else {
+    return JsonValue(value);
+  }
 }
 
-std::vector<std::string> to_str_vec(const JsonValue& v, const char* what) {
-  std::vector<std::string> out;
-  for (const JsonValue& item : v.items()) out.push_back(to_str(item, what));
-  return out;
+template <typename T>
+void decode(const JsonValue& v, const char* key, const std::string& path,
+            T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = to_bool(v, key);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    out = static_cast<std::uint64_t>(to_int64(v, key));
+  } else if constexpr (std::is_integral_v<T>) {
+    out = to_int(v, key);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out = to_double(v, key);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = to_str(v, key);
+  } else if constexpr (std::is_enum_v<T>) {
+    out = names_of(out).second(to_str(v, key));
+  } else if constexpr (kIsVector<T>) {
+    VIDUR_CHECK_MSG(v.is_array(), "spec field '" << key
+                                                 << "' must be an array");
+    out.clear();
+    for (const JsonValue& item : v.items())
+      decode(item, key, path + "[]", out.emplace_back());
+  } else {
+    out = read_section<T>(v, path);
+  }
 }
 
-std::vector<TokenCount> to_token_vec(const JsonValue& v, const char* what) {
-  std::vector<TokenCount> out;
-  for (const JsonValue& item : v.items())
-    out.push_back(to_int(item, what));
-  return out;
+/// The dotted spec path of `key` inside `parent` ("" is the spec root).
+std::string child_path(const std::string& parent, const char* key) {
+  return parent.empty() ? key : parent + "." + key;
 }
 
-RateProfile profile_from_json(const JsonValue& j) {
-  VIDUR_CHECK_MSG(j.is_object(),
-                  "spec section 'profile' must be a JSON object");
-  // Two passes: the kind decides which parameter names are legal.
-  std::string kind_name = "constant";
-  if (const JsonValue* k = j.find("kind")) kind_name = to_str(*k, "kind");
-  const RateProfileKind kind = rate_profile_kind_from_name(kind_name);
+template <typename S>
+JsonValue write_fields(const S& obj) {
+  const S dflt{};
+  JsonValue j = JsonValue::object();
+  fields(std::type_identity<S>{},
+         [&](const char* key, Emit emit, auto... member) {
+           const auto& value = (obj .* ... .* member);
+           if (emit == kAlways || !(value == (dflt .* ... .* member)))
+             j.set(key, encode(value));
+         });
+  return j;
+}
+
+/// Registers every field of `obj` on `r`; `path` is obj's spec path.
+template <typename S>
+void read_fields(FieldReader& r, S& obj, const std::string& path) {
+  fields(std::type_identity<S>{},
+         [&](const char* key, Emit, auto... member) {
+           r.field(key, [&](const JsonValue& v) {
+             decode(v, key, child_path(path, key), (obj .* ... .* member));
+           });
+         });
+}
+
+/// Parses a section into a default-constructed S (absent keys keep the
+/// struct defaults); `context` is the section's spec path.
+template <typename S>
+S read_section(const JsonValue& j, const std::string& context) {
+  S obj{};
+  FieldReader r(j, context);
+  read_fields(r, obj, context);
+  r.finish();
+  return obj;
+}
+
+// ------------------------------------------------------ irregular sections
+
+/// A RateProfile's parameter names depend on its kind; listed in the
+/// order of the kind's factory arguments.
+std::vector<const char*> profile_params(RateProfileKind kind) {
   switch (kind) {
-    case RateProfileKind::kConstant: {
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {});
-      r.finish();
-      return RateProfile::constant();
-    }
-    case RateProfileKind::kDiurnal: {
-      double period = 0, low = 0, high = 0;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("period_s", [&](const JsonValue& v) {
-            period = to_double(v, "period_s");
-          })
-          .field("low", [&](const JsonValue& v) { low = to_double(v, "low"); })
-          .field("high",
-                 [&](const JsonValue& v) { high = to_double(v, "high"); });
-      r.finish();
-      return RateProfile::diurnal(period, low, high);
-    }
-    case RateProfileKind::kRamp: {
-      double start = 0, end = 0, duration = 0;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("start",
-                 [&](const JsonValue& v) { start = to_double(v, "start"); })
-          .field("end", [&](const JsonValue& v) { end = to_double(v, "end"); })
-          .field("duration_s", [&](const JsonValue& v) {
-            duration = to_double(v, "duration_s");
-          });
-      r.finish();
-      return RateProfile::ramp(start, end, duration);
-    }
-    case RateProfileKind::kSpike: {
-      double baseline = 0, spike = 0, start = 0, duration = 0;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("baseline",
-                 [&](const JsonValue& v) {
-                   baseline = to_double(v, "baseline");
-                 })
-          .field("spike",
-                 [&](const JsonValue& v) { spike = to_double(v, "spike"); })
-          .field("start_s",
-                 [&](const JsonValue& v) { start = to_double(v, "start_s"); })
-          .field("duration_s", [&](const JsonValue& v) {
-            duration = to_double(v, "duration_s");
-          });
-      r.finish();
-      return RateProfile::spike(baseline, spike, start, duration);
-    }
-    case RateProfileKind::kPiecewise: {
-      std::vector<RateStep> steps;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("steps", [&](const JsonValue& v) {
-            for (const JsonValue& item : v.items()) {
-              VIDUR_CHECK_MSG(item.is_array() && item.size() == 2,
-                              "profile step must be a [start_s, factor] pair");
-              steps.push_back(RateStep{to_double(item.items()[0], "step start"),
-                                       to_double(item.items()[1],
-                                                 "step factor")});
-            }
-          });
-      r.finish();
-      return RateProfile::piecewise(std::move(steps));
-    }
+    case RateProfileKind::kConstant:
+    case RateProfileKind::kPiecewise:
+      return {};
+    case RateProfileKind::kDiurnal:
+      return {"period_s", "low", "high"};
+    case RateProfileKind::kRamp:
+      return {"start", "end", "duration_s"};
+    case RateProfileKind::kSpike:
+      return {"baseline", "spike", "start_s", "duration_s"};
   }
   throw Error("unhandled RateProfileKind");
 }
 
-ArrivalSpec arrival_from_json(const JsonValue& j) {
-  ArrivalSpec a;
-  FieldReader r(j, "workload.arrival");
-  r.field("kind",
-          [&](const JsonValue& v) {
-            a.kind = arrival_kind_from_name(to_str(v, "kind"));
-          })
-      .field("qps", [&](const JsonValue& v) { a.qps = to_double(v, "qps"); })
-      .field("cv", [&](const JsonValue& v) { a.cv = to_double(v, "cv"); });
-  r.finish();
-  return a;
+JsonValue encode(const RateProfile& p) {
+  JsonValue j = JsonValue::object();
+  j.set("kind", rate_profile_kind_name(p.kind()));
+  std::vector<double> args;  // factory-argument order
+  switch (p.kind()) {
+    case RateProfileKind::kConstant:
+      break;
+    case RateProfileKind::kDiurnal:
+      args = {p.raw_t0(), p.raw_a(), p.raw_b()};
+      break;
+    case RateProfileKind::kRamp:
+      args = {p.raw_a(), p.raw_b(), p.raw_t0()};
+      break;
+    case RateProfileKind::kSpike:
+      args = {p.raw_a(), p.raw_b(), p.raw_t0(), p.raw_t1()};
+      break;
+    case RateProfileKind::kPiecewise: {
+      JsonValue steps = JsonValue::array();
+      for (const RateStep& s : p.steps()) {
+        JsonValue step = JsonValue::array();
+        step.push(s.start_time);
+        step.push(s.factor);
+        steps.push(std::move(step));
+      }
+      j.set("steps", std::move(steps));
+      break;
+    }
+  }
+  const std::vector<const char*> names = profile_params(p.kind());
+  for (std::size_t i = 0; i < args.size(); ++i) j.set(names[i], args[i]);
+  return j;
 }
 
-SloSpec slo_from_json(const JsonValue& j) {
-  SloSpec s;
-  s.ttft_target = 0.0;
-  s.tbt_target = 0.0;
-  FieldReader r(j, "slo");
-  r.field("ttft_target_s",
-          [&](const JsonValue& v) {
-            s.ttft_target = to_double(v, "ttft_target_s");
-          })
-      .field("tbt_target_s", [&](const JsonValue& v) {
-        s.tbt_target = to_double(v, "tbt_target_s");
-      });
+void decode(const JsonValue& v, const char*, const std::string&,
+            RateProfile& out) {
+  VIDUR_CHECK_MSG(v.is_object(),
+                  "spec section 'profile' must be a JSON object");
+  // Two passes: the kind decides which parameter names are legal.
+  std::string kind_name = "constant";
+  if (const JsonValue* k = v.find("kind")) kind_name = to_str(*k, "kind");
+  const RateProfileKind kind = rate_profile_kind_from_name(kind_name);
+  const std::vector<const char*> names = profile_params(kind);
+  std::vector<double> a(names.size(), 0.0);
+  std::vector<RateStep> steps;
+  FieldReader r(v, "profile");
+  r.field("kind", [](const JsonValue&) {});
+  for (std::size_t i = 0; i < names.size(); ++i)
+    r.field(names[i],
+            [&, i](const JsonValue& x) { a[i] = to_double(x, names[i]); });
+  if (kind == RateProfileKind::kPiecewise) {
+    r.field("steps", [&](const JsonValue& x) {
+      for (const JsonValue& item : x.items()) {
+        VIDUR_CHECK_MSG(item.is_array() && item.size() == 2,
+                        "profile step must be a [start_s, factor] pair");
+        steps.push_back(RateStep{to_double(item.items()[0], "step start"),
+                                 to_double(item.items()[1], "step factor")});
+      }
+    });
+  }
   r.finish();
-  return s;
+  switch (kind) {
+    case RateProfileKind::kConstant:
+      out = RateProfile::constant();
+      return;
+    case RateProfileKind::kDiurnal:
+      out = RateProfile::diurnal(a[0], a[1], a[2]);
+      return;
+    case RateProfileKind::kRamp:
+      out = RateProfile::ramp(a[0], a[1], a[2]);
+      return;
+    case RateProfileKind::kSpike:
+      out = RateProfile::spike(a[0], a[1], a[2], a[3]);
+      return;
+    case RateProfileKind::kPiecewise:
+      out = RateProfile::piecewise(std::move(steps));
+      return;
+  }
+  throw Error("unhandled RateProfileKind");
 }
 
-SchedulerConfig scheduler_from_json(const JsonValue& j) {
-  SchedulerConfig s;
-  FieldReader r(j, "deployment.scheduler");
-  r.field("kind",
-          [&](const JsonValue& v) {
-            s.kind = scheduler_from_name(to_str(v, "kind"));
-          })
-      .field("max_batch_size",
-             [&](const JsonValue& v) {
-               s.max_batch_size = to_int(v, "max_batch_size");
-             })
-      .field("max_tokens_per_iteration",
-             [&](const JsonValue& v) {
-               s.max_tokens_per_iteration =
-                   to_int(v, "max_tokens_per_iteration");
-             })
-      .field("chunk_size",
-             [&](const JsonValue& v) { s.chunk_size = to_int(v, "chunk_size"); })
-      .field("watermark_fraction", [&](const JsonValue& v) {
-        s.watermark_fraction = to_double(v, "watermark_fraction");
-      });
-  r.finish();
-  return s;
+void decode(const JsonValue& v, const char* key, const std::string&,
+            PoolRole& out) {
+  const std::string role = to_str(v, key);
+  // check_name carries the did-you-mean for typo'd roles.
+  check_name("pool role", role, pool_role_names());
+  out = pool_role_from_name(role);
 }
 
-DisaggConfig disagg_from_json(const JsonValue& j) {
-  DisaggConfig c;
-  FieldReader r(j, "deployment.disagg");
-  r.field("num_prefill_replicas",
-          [&](const JsonValue& v) {
-            c.num_prefill_replicas = to_int(v, "num_prefill_replicas");
-          })
-      .field("transfer_bandwidth_gbps",
-             [&](const JsonValue& v) {
-               c.transfer_bandwidth_gbps =
-                   to_double(v, "transfer_bandwidth_gbps");
-             })
-      .field("transfer_latency_s", [&](const JsonValue& v) {
-        c.transfer_latency = to_double(v, "transfer_latency_s");
-      });
-  r.finish();
-  return c;
+/// Pools and fault profiles cite the element by its `name_key` in errors,
+/// e.g. "deployment.pools['a']".
+template <typename T>
+std::vector<T> read_named_list(const JsonValue& v, const std::string& path,
+                               const char* noun, const char* name_key) {
+  VIDUR_CHECK_MSG(v.is_array(), "spec field '" << path << "' must be an "
+                                               << "array of " << noun
+                                               << " objects");
+  std::vector<T> out;
+  for (const JsonValue& item : v.items()) {
+    std::string context = path + "[]";
+    if (const JsonValue* n = item.find(name_key);
+        n != nullptr && n->is_string())
+      context = path + "['" + n->as_string() + "']";
+    out.push_back(read_section<T>(item, context));
+  }
+  return out;
 }
 
-AutoscalerConfig autoscale_from_json(const JsonValue& j,
-                                     const std::string& context) {
-  AutoscalerConfig c;
-  FieldReader r(j, context);
-  r.field("kind",
-          [&](const JsonValue& v) {
-            c.kind = autoscaler_from_name(to_str(v, "kind"));
-          })
-      .field("signal",
-             [&](const JsonValue& v) {
-               c.signal = scale_signal_from_name(to_str(v, "signal"));
-             })
-      .field("target_kv_utilization",
-             [&](const JsonValue& v) {
-               c.target_kv_utilization =
-                   to_double(v, "target_kv_utilization");
-             })
-      .field("scale_up_kv_utilization",
-             [&](const JsonValue& v) {
-               c.scale_up_kv_utilization =
-                   to_double(v, "scale_up_kv_utilization");
-             })
-      .field("scale_down_kv_utilization",
-             [&](const JsonValue& v) {
-               c.scale_down_kv_utilization =
-                   to_double(v, "scale_down_kv_utilization");
-             })
-      .field("min_replicas",
-             [&](const JsonValue& v) {
-               c.min_replicas = to_int(v, "min_replicas");
-             })
-      .field("initial_replicas",
-             [&](const JsonValue& v) {
-               c.initial_replicas = to_int(v, "initial_replicas");
-             })
-      .field("provision_delay_s",
-             [&](const JsonValue& v) {
-               c.provision_delay = to_double(v, "provision_delay_s");
-             })
-      .field("warmup_delay_s",
-             [&](const JsonValue& v) {
-               c.warmup_delay = to_double(v, "warmup_delay_s");
-             })
-      .field("decision_interval_s",
-             [&](const JsonValue& v) {
-               c.decision_interval = to_double(v, "decision_interval_s");
-             })
-      .field("scale_up_cooldown_s",
-             [&](const JsonValue& v) {
-               c.scale_up_cooldown = to_double(v, "scale_up_cooldown_s");
-             })
-      .field("scale_down_cooldown_s",
-             [&](const JsonValue& v) {
-               c.scale_down_cooldown = to_double(v, "scale_down_cooldown_s");
-             })
-      .field("max_scale_step",
-             [&](const JsonValue& v) {
-               c.max_scale_step = to_int(v, "max_scale_step");
-             })
-      .field("target_load_per_replica",
-             [&](const JsonValue& v) {
-               c.target_load_per_replica =
-                   to_double(v, "target_load_per_replica");
-             })
-      .field("scale_up_load",
-             [&](const JsonValue& v) {
-               c.scale_up_load = to_double(v, "scale_up_load");
-             })
-      .field("scale_down_load",
-             [&](const JsonValue& v) {
-               c.scale_down_load = to_double(v, "scale_down_load");
-             })
-      .field("profile",
-             [&](const JsonValue& v) { c.profile = profile_from_json(v); })
-      .field("baseline_qps",
-             [&](const JsonValue& v) {
-               c.baseline_qps = to_double(v, "baseline_qps");
-             })
-      .field("replica_capacity_qps",
-             [&](const JsonValue& v) {
-               c.replica_capacity_qps = to_double(v, "replica_capacity_qps");
-             })
-      .field("headroom",
-             [&](const JsonValue& v) { c.headroom = to_double(v, "headroom"); })
-      .field("lookahead_s", [&](const JsonValue& v) {
-        c.lookahead = to_double(v, "lookahead_s");
-      });
-  r.finish();
-  return c;
+void decode(const JsonValue& v, const char*, const std::string& path,
+            std::vector<PoolSpec>& out) {
+  out = read_named_list<PoolSpec>(v, path, "pool", "name");
 }
 
-PrefixCacheConfig prefix_cache_from_json(const JsonValue& j) {
-  PrefixCacheConfig c;
-  FieldReader r(j, "deployment.prefix_cache");
-  r.field("enabled",
-          [&](const JsonValue& v) { c.enabled = to_bool(v, "enabled"); })
-      .field("capacity_fraction", [&](const JsonValue& v) {
-        c.capacity_fraction = to_double(v, "capacity_fraction");
-      });
-  r.finish();
-  return c;
+void decode(const JsonValue& v, const char*, const std::string& path,
+            std::vector<FaultProfile>& out) {
+  out = read_named_list<FaultProfile>(v, path, "profile", "pool");
 }
 
-FaultProfile fault_profile_from_json(const JsonValue& j) {
-  FaultProfile p;
-  std::string context = "deployment.faults.profiles[]";
-  if (const JsonValue* n = j.find("pool"); n != nullptr && n->is_string())
-    context = "deployment.faults.profiles['" + n->as_string() + "']";
-  FieldReader r(j, context);
-  r.field("pool", [&](const JsonValue& v) { p.pool = to_str(v, "pool"); })
-      .field("crash_mtbf_s",
-             [&](const JsonValue& v) {
-               p.crash_mtbf_s = to_double(v, "crash_mtbf_s");
-             })
-      .field("spot_windows",
-             [&](const JsonValue& v) {
-               VIDUR_CHECK_MSG(v.is_array(),
-                               "spec field 'spot_windows' must be an array "
-                               "of window objects");
-               for (const JsonValue& item : v.items()) {
-                 SpotWindow w;
-                 FieldReader wr(item, context + ".spot_windows[]");
-                 wr.field("start_s",
-                          [&](const JsonValue& x) {
-                            w.start = to_double(x, "start_s");
-                          })
-                     .field("duration_s",
-                            [&](const JsonValue& x) {
-                              w.duration = to_double(x, "duration_s");
-                            })
-                     .field("replicas",
-                            [&](const JsonValue& x) {
-                              w.replicas = to_int(x, "replicas");
-                            })
-                     .field("notice_s", [&](const JsonValue& x) {
-                       w.notice = to_double(x, "notice_s");
-                     });
-                 wr.finish();
-                 p.spot_windows.push_back(w);
-               }
-             })
-      .field("degrade_mtbf_s",
-             [&](const JsonValue& v) {
-               p.degrade_mtbf_s = to_double(v, "degrade_mtbf_s");
-             })
-      .field("degrade_factor",
-             [&](const JsonValue& v) {
-               p.degrade_factor = to_double(v, "degrade_factor");
-             })
-      .field("degrade_duration_s", [&](const JsonValue& v) {
-        p.degrade_duration_s = to_double(v, "degrade_duration_s");
-      });
-  r.finish();
-  return p;
+JsonValue encode(const DeploymentConfig& c) {
+  JsonValue j = write_fields(c);
+  if (!c.pools.empty()) {
+    // The pool list supersedes the homogeneous SKU/parallelism/autoscale
+    // fields; emitting both would invite divergence in hand-edited specs.
+    JsonValue pooled = JsonValue::object();
+    pooled.set("pools", j.at("pools"));
+    for (const auto& [key, value] : j.members()) {
+      if (key != "sku" && key != "tensor_parallel" &&
+          key != "pipeline_parallel" && key != "num_replicas" &&
+          key != "autoscale" && key != "pools")
+        pooled.set(key, value);
+    }
+    j = std::move(pooled);
+  }
+  // The shard thread count nests under `execution`, default-omitted like
+  // every other knob so committed specs stay exact serializer fixed points.
+  if (c.threads != DeploymentConfig{}.threads) {
+    JsonValue e = JsonValue::object();
+    e.set("threads", c.threads);
+    j.set("execution", std::move(e));
+  }
+  return j;
 }
 
-FaultConfig faults_from_json(const JsonValue& j) {
-  FaultConfig c;
-  FieldReader r(j, "deployment.faults");
-  r.field("seed",
-          [&](const JsonValue& v) {
-            c.seed = static_cast<std::uint64_t>(v.as_int());
-          })
-      .field("profiles",
-             [&](const JsonValue& v) {
-               VIDUR_CHECK_MSG(v.is_array(),
-                               "spec field 'deployment.faults.profiles' must "
-                               "be an array of profile objects");
-               for (const JsonValue& item : v.items())
-                 c.profiles.push_back(fault_profile_from_json(item));
-             })
-      .field("recovery",
-             [&](const JsonValue& v) {
-               FieldReader rr(v, "deployment.faults.recovery");
-               rr.field("max_attempts",
-                        [&](const JsonValue& x) {
-                          c.recovery.max_attempts = to_int(x, "max_attempts");
-                        })
-                   .field("backoff_base_s",
-                          [&](const JsonValue& x) {
-                            c.recovery.backoff_base_s =
-                                to_double(x, "backoff_base_s");
-                          })
-                   .field("backoff_multiplier",
-                          [&](const JsonValue& x) {
-                            c.recovery.backoff_multiplier =
-                                to_double(x, "backoff_multiplier");
-                          })
-                   .field("jitter", [&](const JsonValue& x) {
-                     c.recovery.jitter = to_double(x, "jitter");
-                   });
-               rr.finish();
-             })
-      .field("shed", [&](const JsonValue& v) {
-        FieldReader sr(v, "deployment.faults.shed");
-        sr.field("min_active_replicas",
-                 [&](const JsonValue& x) {
-                   c.shed.min_active_replicas =
-                       to_int(x, "min_active_replicas");
-                 })
-            .field("max_shed_priority", [&](const JsonValue& x) {
-              c.shed.max_shed_priority = to_int(x, "max_shed_priority");
-            });
-        sr.finish();
-      });
-  r.finish();
-  return c;
-}
-
-PoolSpec pool_from_json(const JsonValue& j) {
-  PoolSpec p;
-  // Read the name first so field errors can cite the pool.
-  std::string context = "deployment.pools[]";
-  if (const JsonValue* n = j.find("name"); n != nullptr && n->is_string())
-    context = "deployment.pools['" + n->as_string() + "']";
-  FieldReader r(j, context);
-  r.field("name", [&](const JsonValue& v) { p.name = to_str(v, "name"); })
-      .field("sku",
-             [&](const JsonValue& v) { p.sku_name = to_str(v, "sku"); })
-      .field("role",
-             [&](const JsonValue& v) {
-               const std::string role = to_str(v, "role");
-               // check_name carries the did-you-mean for typo'd roles.
-               check_name("pool role", role, pool_role_names());
-               p.role = pool_role_from_name(role);
-             })
-      .field("tensor_parallel",
-             [&](const JsonValue& v) {
-               p.parallel.tensor_parallel = to_int(v, "tensor_parallel");
-             })
-      .field("pipeline_parallel",
-             [&](const JsonValue& v) {
-               p.parallel.pipeline_parallel = to_int(v, "pipeline_parallel");
-             })
-      .field("num_replicas",
-             [&](const JsonValue& v) {
-               p.parallel.num_replicas = to_int(v, "num_replicas");
-             })
-      .field("cost_per_gpu_hour",
-             [&](const JsonValue& v) {
-               p.cost_per_gpu_hour = to_double(v, "cost_per_gpu_hour");
-             })
-      .field("capacity_qps",
-             [&](const JsonValue& v) {
-               p.capacity_qps = to_double(v, "capacity_qps");
-             })
-      .field("autoscale", [&](const JsonValue& v) {
-        p.autoscale = autoscale_from_json(v, context + ".autoscale");
-      });
-  r.finish();
-  return p;
-}
-
-DeploymentConfig deployment_from_json(const JsonValue& j) {
+void decode(const JsonValue& v, const char*, const std::string& path,
+            DeploymentConfig& out) {
   DeploymentConfig c;
-  FieldReader r(j, "deployment");
-  r.field("sku", [&](const JsonValue& v) { c.sku_name = to_str(v, "sku"); })
-      .field("tensor_parallel",
-             [&](const JsonValue& v) {
-               c.parallel.tensor_parallel = to_int(v, "tensor_parallel");
-             })
-      .field("pipeline_parallel",
-             [&](const JsonValue& v) {
-               c.parallel.pipeline_parallel = to_int(v, "pipeline_parallel");
-             })
-      .field("num_replicas",
-             [&](const JsonValue& v) {
-               c.parallel.num_replicas = to_int(v, "num_replicas");
-             })
-      .field("scheduler",
-             [&](const JsonValue& v) { c.scheduler = scheduler_from_json(v); })
-      .field("global_scheduler",
-             [&](const JsonValue& v) {
-               c.global_scheduler =
-                   global_scheduler_from_name(to_str(v, "global_scheduler"));
-             })
-      .field("async_pipeline_comm",
-             [&](const JsonValue& v) {
-               c.async_pipeline_comm = to_bool(v, "async_pipeline_comm");
-             })
-      .field("disagg",
-             [&](const JsonValue& v) { c.disagg = disagg_from_json(v); })
-      .field("autoscale",
-             [&](const JsonValue& v) {
-               c.autoscale = autoscale_from_json(v, "deployment.autoscale");
-             })
-      .field("pools",
-             [&](const JsonValue& v) {
-               VIDUR_CHECK_MSG(v.is_array(),
-                               "spec field 'deployment.pools' must be an "
-                               "array of pool objects");
-               for (const JsonValue& item : v.items())
-                 c.pools.push_back(pool_from_json(item));
-             })
-      .field("prefix_cache",
-             [&](const JsonValue& v) {
-               c.prefix_cache = prefix_cache_from_json(v);
-             })
-      .field("faults",
-             [&](const JsonValue& v) { c.faults = faults_from_json(v); })
-      .field("execution", [&](const JsonValue& v) {
-        FieldReader e(v, "deployment.execution");
-        e.field("threads",
-                [&](const JsonValue& t) { c.threads = to_int(t, "threads"); });
-        e.finish();
-      });
+  FieldReader r(v, path);
+  read_fields(r, c, path);
+  r.field("execution", [&](const JsonValue& e) {
+    FieldReader er(e, path + ".execution");
+    er.field("threads", [&](const JsonValue& t) {
+      c.threads = to_int(t, "threads");
+    });
+    er.finish();
+  });
   r.finish();
-  return c;
+  out = std::move(c);
 }
 
-WorkloadSpec workload_from_json(const JsonValue& j) {
-  WorkloadSpec w;
-  bool named = false;
-  FieldReader r(j, "workload");
-  r.field("scenario",
-          [&](const JsonValue& v) {
-            w.scenario = to_str(v, "scenario");
-            named = true;
-          })
-      .field("trace",
-             [&](const JsonValue& v) { w.trace = to_str(v, "trace"); })
-      .field("arrival",
-             [&](const JsonValue& v) { w.arrival = arrival_from_json(v); })
-      .field("num_requests", [&](const JsonValue& v) {
-        w.num_requests = to_int(v, "num_requests");
-      });
-  r.finish();
+JsonValue encode(const WorkloadSpec& w) {
+  if (w.synthetic()) return write_fields(w);
+  JsonValue j = JsonValue::object();
+  j.set("scenario", w.scenario);
+  if (w.num_requests != 0) j.set("num_requests", w.num_requests);
+  return j;
+}
+
+void decode(const JsonValue& v, const char*, const std::string& path,
+            WorkloadSpec& out) {
+  out = read_section<WorkloadSpec>(v, path);
   // A named scenario leaves num_requests at "keep the scenario default"
   // unless the spec overrides it explicitly.
-  if (named && j.find("num_requests") == nullptr) w.num_requests = 0;
-  return w;
-}
-
-SearchSpace search_from_json(const JsonValue& j) {
-  SearchSpace s;
-  FieldReader r(j, "search");
-  r.field("skus",
-          [&](const JsonValue& v) { s.skus = to_str_vec(v, "skus"); })
-      .field("tp_degrees",
-             [&](const JsonValue& v) {
-               s.tp_degrees = to_int_vec(v, "tp_degrees");
-             })
-      .field("pp_degrees",
-             [&](const JsonValue& v) {
-               s.pp_degrees = to_int_vec(v, "pp_degrees");
-             })
-      .field("max_total_gpus",
-             [&](const JsonValue& v) {
-               s.max_total_gpus = to_int(v, "max_total_gpus");
-             })
-      .field("schedulers",
-             [&](const JsonValue& v) {
-               s.schedulers.clear();
-               for (const std::string& n : to_str_vec(v, "schedulers"))
-                 s.schedulers.push_back(scheduler_from_name(n));
-             })
-      .field("batch_sizes",
-             [&](const JsonValue& v) {
-               s.batch_sizes = to_int_vec(v, "batch_sizes");
-             })
-      .field("sarathi_chunk_sizes",
-             [&](const JsonValue& v) {
-               s.sarathi_chunk_sizes = to_token_vec(v, "sarathi_chunk_sizes");
-             })
-      .field("max_tokens_per_iteration",
-             [&](const JsonValue& v) {
-               s.max_tokens_per_iteration =
-                   to_int(v, "max_tokens_per_iteration");
-             })
-      .field("global_scheduler", [&](const JsonValue& v) {
-        s.global_scheduler =
-            global_scheduler_from_name(to_str(v, "global_scheduler"));
-      });
-  r.finish();
-  return s;
-}
-
-ElasticPlanSpec elastic_from_json(const JsonValue& j) {
-  ElasticPlanSpec e;
-  FieldReader r(j, "elastic");
-  r.field("slo_target",
-          [&](const JsonValue& v) {
-            e.slo_target = to_double(v, "slo_target");
-          })
-      .field("max_replicas",
-             [&](const JsonValue& v) {
-               e.max_replicas = to_int(v, "max_replicas");
-             })
-      .field("burst_slots", [&](const JsonValue& v) {
-        e.burst_slots = to_int(v, "burst_slots");
-      });
-  r.finish();
-  return e;
-}
-
-ObsSpec obs_from_json(const JsonValue& j) {
-  ObsSpec o;
-  FieldReader r(j, "obs");
-  r.field("trace",
-          [&](const JsonValue& v) { o.trace = to_bool(v, "trace"); })
-      .field("trace_capacity",
-             [&](const JsonValue& v) {
-               o.trace_capacity = to_int(v, "trace_capacity");
-             })
-      .field("rolling_window_s",
-             [&](const JsonValue& v) {
-               o.rolling_window_s = to_double(v, "rolling_window_s");
-             })
-      .field("analyze", [&](const JsonValue& v) {
-        o.analyze = to_bool(v, "analyze");
-      });
-  r.finish();
-  return o;
-}
-
-SweepAxes sweep_from_json(const JsonValue& j) {
-  SweepAxes s;
-  FieldReader r(j, "sweep");
-  r.field("sku", [&](const JsonValue& v) { s.sku = to_str_vec(v, "sku"); })
-      .field("tensor_parallel",
-             [&](const JsonValue& v) {
-               s.tensor_parallel = to_int_vec(v, "tensor_parallel");
-             })
-      .field("pipeline_parallel",
-             [&](const JsonValue& v) {
-               s.pipeline_parallel = to_int_vec(v, "pipeline_parallel");
-             })
-      .field("num_replicas",
-             [&](const JsonValue& v) {
-               s.num_replicas = to_int_vec(v, "num_replicas");
-             })
-      .field("scheduler",
-             [&](const JsonValue& v) {
-               s.scheduler = to_str_vec(v, "scheduler");
-             })
-      .field("max_batch_size",
-             [&](const JsonValue& v) {
-               s.max_batch_size = to_int_vec(v, "max_batch_size");
-             })
-      .field("chunk_size",
-             [&](const JsonValue& v) {
-               s.chunk_size = to_token_vec(v, "chunk_size");
-             })
-      .field("qps",
-             [&](const JsonValue& v) { s.qps = to_double_vec(v, "qps"); });
-  r.finish();
-  return s;
+  if (v.find("scenario") != nullptr && v.find("num_requests") == nullptr)
+    out.num_requests = 0;
 }
 
 }  // namespace
 
+JsonValue ExperimentSpec::to_json() const { return write_fields(*this); }
+
+std::string ExperimentSpec::to_json_string() const { return to_json().dump(); }
+
 ExperimentSpec ExperimentSpec::from_json(const JsonValue& json) {
   ExperimentSpec spec;
   FieldReader r(json, "experiment");
-  r.field("name",
-          [&](const JsonValue& v) { spec.name = to_str(v, "name"); })
-      .field("mode",
-             [&](const JsonValue& v) {
-               spec.mode = experiment_mode_from_name(to_str(v, "mode"));
-             })
-      .field("model",
-             [&](const JsonValue& v) { spec.model = to_str(v, "model"); })
-      .field("deployment",
-             [&](const JsonValue& v) {
-               spec.deployment = deployment_from_json(v);
-             })
-      .field("workload",
-             [&](const JsonValue& v) {
-               spec.workload = workload_from_json(v);
-             })
-      .field("slo", [&](const JsonValue& v) { spec.slo = slo_from_json(v); })
-      .field("seed",
-             [&](const JsonValue& v) {
-               spec.seed = static_cast<std::uint64_t>(v.as_int());
-             })
-      .field("tp_degrees",
-             [&](const JsonValue& v) {
-               spec.tp_degrees = to_int_vec(v, "tp_degrees");
-             })
-      .field("num_threads",
-             [&](const JsonValue& v) {
-               spec.num_threads = to_int(v, "num_threads");
-             })
-      .field("search",
-             [&](const JsonValue& v) { spec.search = search_from_json(v); })
-      .field("elastic",
-             [&](const JsonValue& v) { spec.elastic = elastic_from_json(v); })
-      .field("obs", [&](const JsonValue& v) { spec.obs = obs_from_json(v); })
-      .field("sweep",
-             [&](const JsonValue& v) { spec.sweep = sweep_from_json(v); });
+  read_fields(r, spec, "");
   r.finish();
   return spec;
 }
