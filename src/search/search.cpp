@@ -119,7 +119,7 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
 
   // Phase 2 (branch and bound): visit configs in descending upper-bound
   // QPS/$ order; skip a config when even its upper bound cannot beat the
-  // best capacity QPS/$ already found. Exact for the optimum.
+  // best SLO-compliant capacity QPS/$ already found. Exact for best().
   std::vector<std::size_t> order(configs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -141,7 +141,9 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
     eval = evaluate_config(session, configs[i], workload, options,
                            offline_qps[i]);
     ++eval.num_probes;  // the offline probe
-    if (eval.feasible)
+    // Only an SLO-compliant config bounds the rest: best() ignores the
+    // others, so pruning against them could skip the compliant optimum.
+    if (eval.feasible && eval.meets_slo)
       best_qps_per_dollar = std::max(best_qps_per_dollar, eval.qps_per_dollar);
   }
 

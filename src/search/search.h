@@ -50,9 +50,10 @@ struct VidurSearchOptions {
   int num_threads = 0;
   /// Branch-and-bound pruning: a config's offline throughput is an upper
   /// bound on its capacity, so configs whose offline QPS/$ cannot beat the
-  /// best capacity QPS/$ found so far skip the full binary search. Exact
-  /// for finding the optimum; disable to get capacity/latency metrics for
-  /// every config (needed for Pareto-frontier plots).
+  /// best SLO-compliant capacity QPS/$ found so far skip the full binary
+  /// search. Exact for best() and best_unconstrained(); disable to get
+  /// capacity/latency metrics for every config (needed for Pareto-frontier
+  /// plots).
   bool prune = true;
 };
 

@@ -10,9 +10,11 @@
 // (request counts, which pools scaled) are exact.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/run.h"
 #include "scenario/registry.h"
@@ -224,8 +226,12 @@ TEST(GoldenSpecs, SpotChurnSurvivesPreemptionWithoutLosingRequests) {
 TEST(GoldenSpecs, GoldenSpecsAreCanonicallySerialized) {
   // The committed files must be the exact fixed point of the serializer,
   // so hand edits that survive a round trip cannot drift the formatting.
-  for (const char* name : {"elastic-hetero.json", "disagg-autoscale.json",
-                           "session-chat.json", "spot-churn.json"}) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(VIDUR_SPEC_DIR))
+    if (entry.path().extension() == ".json")
+      names.push_back(entry.path().filename().string());
+  ASSERT_FALSE(names.empty()) << "no specs under " << VIDUR_SPEC_DIR;
+  for (const std::string& name : names) {
     const std::string path = std::string(VIDUR_SPEC_DIR) + "/" + name;
     std::ifstream in(path);
     ASSERT_TRUE(in.good()) << path;

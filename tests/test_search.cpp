@@ -2,6 +2,8 @@
 // exactness, SLO filtering and Pareto frontiers (Vidur-Search, paper §6).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "search/search.h"
 
 namespace vidur {
@@ -191,6 +193,25 @@ TEST(Search, PruningFindsTheSameOptimum) {
   // Pruning must not change the optimum's value materially (same probes).
   EXPECT_NEAR(full.best_unconstrained()->qps_per_dollar,
               pruned.best_unconstrained()->qps_per_dollar, 1e-9);
+
+  // With a TBT target just below the unconstrained optimum's TBT P99, that
+  // optimum misses the SLO. Its QPS/$ must not bound the pruning, or it
+  // would prune the SLO-compliant optimum.
+  options.slo.ttft_target = 0.0;  // disabled
+  options.slo.tbt_target =
+      std::nextafter(full.best_unconstrained()->tbt_p99, 0.0);
+  options.prune = false;
+  const SearchResult full_slo = run_search(shared_session(), tiny_space(),
+                                           trace_by_name("chat1m"), options);
+  options.prune = true;
+  const SearchResult pruned_slo = run_search(
+      shared_session(), tiny_space(), trace_by_name("chat1m"), options);
+  ASSERT_TRUE(full_slo.best().has_value());
+  ASSERT_TRUE(pruned_slo.best().has_value());
+  EXPECT_EQ(full_slo.best()->config.to_string(),
+            pruned_slo.best()->config.to_string());
+  EXPECT_NEAR(full_slo.best()->qps_per_dollar,
+              pruned_slo.best()->qps_per_dollar, 1e-9);
 }
 
 TEST(Search, EvaluationsCoverTheWholeSpace) {

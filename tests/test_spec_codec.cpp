@@ -439,5 +439,31 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.label);
     });
 
+// ----------------------------------------------------------------- seeds
+
+TEST(SpecCodec, IllTypedSeedsNameTheField) {
+  EXPECT_EQ(check_detail(parse_error(R"({"seed": 1.5})")),
+            "spec field 'seed' must be an integer");
+  EXPECT_EQ(check_detail(
+                parse_error(R"({"deployment": {"faults": {"seed": "x"}}})")),
+            "spec field 'seed' must be an integer");
+}
+
+TEST(SpecCodec, SeedsAtOrAbove2To63RoundTripAsNegativeIntegers) {
+  const std::uint64_t seed = (std::uint64_t{1} << 63) + 5;
+  ExperimentSpec spec;
+  spec.with_seed(seed);
+  spec.deployment.faults.seed = seed;
+  const JsonValue json = spec.to_json();
+  EXPECT_EQ(json.at("seed").as_int(), -9223372036854775803);
+  EXPECT_EQ(json.at("deployment").at("faults").at("seed").as_int(),
+            -9223372036854775803);
+  const ExperimentSpec parsed =
+      ExperimentSpec::from_json_string(spec.to_json_string());
+  EXPECT_EQ(parsed.seed, seed);
+  EXPECT_EQ(parsed.deployment.faults.seed, seed);
+  EXPECT_EQ(parsed, spec);
+}
+
 }  // namespace
 }  // namespace vidur
