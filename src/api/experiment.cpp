@@ -541,9 +541,7 @@ namespace {
 /// default-constructed struct's value: spec files stay minimal and diffable
 /// while the round trip stays lossless (parsing starts from the same
 /// defaults).
-enum class Emit { kAlways, kNonDefault };
-constexpr Emit kAlways = Emit::kAlways;
-constexpr Emit kNonDefault = Emit::kNonDefault;
+enum Emit { kAlways, kNonDefault };
 
 // The field tables: fields(std::type_identity<S>, f) calls
 // f(key, emit, member...) once per field of S, in schema order;
