@@ -3,6 +3,8 @@
 // and the latency signature that motivates the technique.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/simulator.h"
 #include "workload/trace_generator.h"
 
@@ -210,6 +212,12 @@ struct DisaggCase {
   int prefill;
   int decode;
 };
+
+// Without a printer gtest names the parameter by its raw bytes, including
+// the trace-name pointer, which changes from run to run.
+void PrintTo(const DisaggCase& c, std::ostream* os) {
+  *os << c.trace << " " << c.prefill << "P" << c.decode << "D";
+}
 
 class DisaggPropertyTest : public ::testing::TestWithParam<DisaggCase> {};
 

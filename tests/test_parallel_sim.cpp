@@ -103,6 +103,51 @@ TEST(ParallelSim, ShardedFleetBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// `json` without its top-level "rolling" member.
+std::string without_rolling(const std::string& json) {
+  const JsonValue doc = JsonValue::parse(json);
+  JsonValue out = JsonValue::object();
+  for (const auto& [key, value] : doc.members())
+    if (key != "rolling") out.set(key, value);
+  return out.dump();
+}
+
+TEST(ParallelSim, ShardedRunReplaysTheCentralOrder) {
+  // run() pre-routes a static round-robin fleet into per-replica shards
+  // and claims the result is the central single-queue order exactly.
+  // Rolling windows read fleet-wide state at every completion, so they
+  // keep the same spec on the central path: the two runs must agree on
+  // every byte except the rolling tracks themselves. Degrade fault edges
+  // split the sharded run into several windows.
+  ExperimentSpec spec;
+  spec.name = "sharded-vs-central";
+  spec.with_parallelism(1, 1, 6)
+      .with_scheduler(SchedulerKind::kVllm, 64)
+      .with_trace("chat1m", 6.0, 500)
+      .with_seed(5);
+  FaultProfile straggler;
+  straggler.degrade_mtbf_s = 15.0;
+  straggler.degrade_factor = 2.0;
+  straggler.degrade_duration_s = 6.0;
+  FaultConfig faults;
+  faults.seed = 3;
+  faults.profiles = {straggler};
+  spec.with_faults(faults);
+  ExperimentSpec central = spec;
+  central.obs.rolling_window_s = 10.0;
+
+  VidurSession session(model_by_name(spec.model));
+  run_shared(session, spec, 1);  // warm the estimator cache, discarded
+  for (const int threads : {1, 4}) {
+    const RunDump sharded = run_shared(session, spec, threads);
+    const RunDump replay = run_shared(session, central, threads);
+    EXPECT_EQ(without_rolling(sharded.result), without_rolling(replay.result))
+        << "sharded and central results diverged at threads=" << threads;
+    EXPECT_EQ(sharded.trace, replay.trace)
+        << "sharded and central traces diverged at threads=" << threads;
+  }
+}
+
 TEST(ParallelSim, ThreadsKnobRoundTripsLosslessly) {
   // Non-default values survive to_json/from_json; the default is omitted
   // entirely so committed specs stay canonically serialized.

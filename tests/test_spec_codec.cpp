@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -201,6 +202,12 @@ const CodecFixture kFixtures[] = {
                                                    RateStep{120.0, 0.5}}));
      }},
 };
+
+// gtest prints a parameter without a printer as its raw bytes — here
+// pointers, which differ on every run and so rename the ctest entries.
+void PrintTo(const CodecFixture& fixture, std::ostream* os) {
+  *os << fixture.file;
+}
 
 class SpecCodecFixture : public ::testing::TestWithParam<CodecFixture> {};
 
@@ -421,6 +428,10 @@ const SectionErrors kSections[] = {
          "start": "x"}}}})",
      "spec field 'start' must be a number"},
 };
+
+void PrintTo(const SectionErrors& section, std::ostream* os) {
+  *os << section.label;
+}
 
 class SpecSectionErrors : public ::testing::TestWithParam<SectionErrors> {};
 
