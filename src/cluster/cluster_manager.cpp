@@ -4,63 +4,36 @@
 #include <utility>
 
 #include "common/check.h"
+#include "hardware/sku.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace vidur {
 
-namespace {
-
-std::vector<ClusterManager::ManagedPool> single_pool(AutoscalerConfig config,
-                                                     int fleet_size) {
-  ClusterManager::ManagedPool pool;
-  pool.name = "fleet";
-  pool.slots = fleet_size;
-  pool.autoscale = std::move(config);
-  return {std::move(pool)};
-}
-
-}  // namespace
-
-ClusterManager::ClusterManager(std::vector<ManagedPool> pools,
+ClusterManager::ClusterManager(std::vector<PoolSpec> pools,
                                EventQueue* events, Hooks hooks)
     : events_(events), hooks_(std::move(hooks)) {
   VIDUR_CHECK(events_ != nullptr);
   VIDUR_CHECK(hooks_.replica_load && hooks_.parked_requests &&
               hooks_.work_remaining && hooks_.on_activated &&
               hooks_.on_draining);
-  VIDUR_CHECK_MSG(!pools.empty(), "ClusterManager needs at least one pool");
-
-  bool any_elastic = false;
+  validate_pools(pools);
+  VIDUR_CHECK_MSG(any_pool_autoscaled(pools),
+                  "ClusterManager requires an autoscaling policy on at "
+                  "least one pool");
   bool any_kv_signal = false;
   int begin = 0;
-  for (ManagedPool& spec : pools) {
-    VIDUR_CHECK_MSG(spec.slots >= 1,
-                    "pool '" << spec.name << "' needs at least one slot");
-    if (spec.autoscale.enabled()) {
-      spec.autoscale.validate();
-      VIDUR_CHECK_MSG(spec.autoscale.min_replicas <= spec.slots,
-                      "pool '" << spec.name
-                               << "': min_replicas exceeds the pool's "
-                               << spec.slots << " slots");
-      VIDUR_CHECK_MSG(spec.initial_active() <= spec.slots,
-                      "pool '" << spec.name
-                               << "': initial_replicas exceeds the pool's "
-                               << spec.slots << " slots");
-      any_elastic = true;
-      any_kv_signal |= spec.autoscale.signal == ScaleSignal::kKvPressure;
-    }
+  for (PoolSpec& spec : pools) {
+    any_kv_signal |= spec.autoscale.enabled() &&
+                     spec.autoscale.signal == ScaleSignal::kKvPressure;
     Pool pool;
-    pool.info = std::move(spec);
+    pool.spec = std::move(spec);
     pool.begin = begin;
-    pool.end = begin + pool.info.slots;
+    pool.end = begin + pool.spec.slots();
     begin = pool.end;
     pools_.push_back(std::move(pool));
   }
   fleet_size_ = begin;
-  VIDUR_CHECK_MSG(any_elastic,
-                  "ClusterManager requires an autoscaling policy on at "
-                  "least one pool");
   if (any_kv_signal)
     VIDUR_CHECK_MSG(hooks_.replica_kv_utilization != nullptr,
                     "a pool scales on kv_pressure but the "
@@ -83,25 +56,24 @@ ClusterManager::ClusterManager(std::vector<ManagedPool> pools,
     Group group;
     group.role = role;
     for (std::size_t i = 0; i < pools_.size(); ++i) {
-      if (pools_[i].info.role != role) continue;
+      if (pools_[i].spec.role != role) continue;
       group.pools.push_back(static_cast<int>(i));
-      if (pools_[i].info.autoscale.enabled())
+      if (pools_[i].spec.autoscale.enabled())
         group.elastic.push_back(static_cast<int>(i));
     }
     if (group.elastic.empty()) continue;
+    // validate_pools() made the elastic pools agree on the decision view.
     group.config = pools_[static_cast<std::size_t>(group.elastic[0])]
-                       .info.autoscale;
+                       .spec.autoscale;
+    bool all_capacities = true;
+    for (const int pi : group.elastic)
+      all_capacities &=
+          pools_[static_cast<std::size_t>(pi)].spec.capacity_qps > 0;
     for (const int pi : group.elastic) {
-      const AutoscalerConfig& c =
-          pools_[static_cast<std::size_t>(pi)].info.autoscale;
-      // Full agreement on the decision view: anything less would silently
-      // ignore the other pools' thresholds/cooldowns/predictive inputs.
-      VIDUR_CHECK_MSG(
-          group_policy_view(c) == group_policy_view(group.config),
-          "pools of the " << pool_role_name(role)
-                          << " scaling group disagree on their autoscale "
-                             "policy (only min_replicas, initial_replicas "
-                             "and the cold-start delays may differ)");
+      Pool& pool = pools_[static_cast<std::size_t>(pi)];
+      pool.rank_capacity =
+          all_capacities ? pool.spec.capacity_qps
+                         : sku_by_name(pool.spec.sku_name).peak_fp16_tflops;
     }
     // A predictive lookahead of 0 means "my cold-start horizon". The
     // group's horizon is the slowest elastic pool's cold start — capacity
@@ -111,7 +83,7 @@ ClusterManager::ClusterManager(std::vector<ManagedPool> pools,
         group.config.lookahead == 0.0) {
       for (const int pi : group.elastic) {
         const AutoscalerConfig& c =
-            pools_[static_cast<std::size_t>(pi)].info.autoscale;
+            pools_[static_cast<std::size_t>(pi)].spec.autoscale;
         group.config.lookahead = std::max(
             group.config.lookahead, c.provision_delay + c.warmup_delay);
       }
@@ -125,11 +97,6 @@ ClusterManager::ClusterManager(std::vector<ManagedPool> pools,
   events_->set_tick_handler([this] { evaluate(); });
 }
 
-ClusterManager::ClusterManager(AutoscalerConfig config, int fleet_size,
-                               EventQueue* events, Hooks hooks)
-    : ClusterManager(single_pool(std::move(config), fleet_size), events,
-                     std::move(hooks)) {}
-
 ClusterManager::~ClusterManager() { events_->set_tick_handler(nullptr); }
 
 void ClusterManager::start() {
@@ -137,7 +104,7 @@ void ClusterManager::start() {
   // simulated window opened, so no cold start applies. Static pools run at
   // their full slot count for the whole simulation.
   for (Pool& pool : pools_) {
-    const int initial = pool.info.initial_active();
+    const int initial = pool.spec.initial_active();
     for (ReplicaId r = pool.begin; r < pool.begin + initial; ++r) {
       up_since_[static_cast<std::size_t>(r)] = 0.0;
       transition(r, ReplicaState::kActive, 0.0);
@@ -172,11 +139,7 @@ int ClusterManager::available_slots(const Pool& pool, Seconds now) const {
 }
 
 double ClusterManager::cost_per_slo_point(const Pool& pool) const {
-  const double rate =
-      pool.info.cost_per_gpu_hour * pool.info.gpus_per_replica;
-  // <= 0 means "capacity unknown": rank as unit capacity, so the rate
-  // alone decides (and equal rates fall back to pool order).
-  return rate / (pool.info.capacity_qps > 0 ? pool.info.capacity_qps : 1.0);
+  return pool.spec.replica_cost_per_hour() / pool.rank_capacity;
 }
 
 void ClusterManager::set_obs(TraceRecorder* trace,
@@ -215,8 +178,8 @@ void ClusterManager::evaluate_group(Group& group, Seconds now) {
     sample.pending += count_in(pool, ReplicaState::kProvisioning) +
                       count_in(pool, ReplicaState::kWarming);
     sample.draining += count_in(pool, ReplicaState::kDraining);
-    sample.min_replicas += pool.info.floor_replicas();
-    sample.max_replicas += pool.info.slots;
+    sample.min_replicas += pool.spec.floor_replicas();
+    sample.max_replicas += pool.spec.slots();
     for (ReplicaId r = pool.begin; r < pool.end; ++r) {
       const ReplicaState s = state(r);
       if (s == ReplicaState::kActive || s == ReplicaState::kDraining)
@@ -285,9 +248,9 @@ void ClusterManager::scale_up_group(Group& group, int n, Seconds now) {
       // The provisioning -> warming -> active chain is never interrupted:
       // only active replicas are ever drained, so these callbacks cannot
       // observe a stale slot. Cold-start delays are the pool's own.
-      const Seconds warmup = pool.info.autoscale.warmup_delay;
+      const Seconds warmup = pool.spec.autoscale.warmup_delay;
       events_->schedule(
-          now + pool.info.autoscale.provision_delay, [this, r, warmup] {
+          now + pool.spec.autoscale.provision_delay, [this, r, warmup] {
             transition(r, ReplicaState::kWarming, events_->now());
             events_->schedule(events_->now() + warmup, [this, r] {
               transition(r, ReplicaState::kActive, events_->now());
@@ -312,7 +275,7 @@ void ClusterManager::scale_down_group(Group& group, int n, Seconds now) {
     double best_cost = -1.0;
     for (const int pi : group.elastic) {
       const Pool& pool = pools_[static_cast<std::size_t>(pi)];
-      if (count_in(pool, ReplicaState::kActive) <= pool.info.floor_replicas())
+      if (count_in(pool, ReplicaState::kActive) <= pool.spec.floor_replicas())
         continue;
       const double cost = cost_per_slo_point(pool);
       if (cost >= best_cost) {
@@ -402,16 +365,6 @@ void ClusterManager::transition(ReplicaId replica, ReplicaState to,
     pool.timeline.push_back(ReplicaCountSample{now, pool_active});
 }
 
-ClusterScalingReport ClusterManager::report(Seconds end_time) const {
-  return report_impl(end_time, 0, -1.0);
-}
-
-ClusterScalingReport ClusterManager::report(Seconds end_time,
-                                            int gpus_per_replica,
-                                            double cost_per_gpu_hour) const {
-  return report_impl(end_time, gpus_per_replica, cost_per_gpu_hour);
-}
-
 namespace {
 
 /// Time-weighted mean of an active-count step function over [0, end].
@@ -430,8 +383,7 @@ double timeline_mean(const std::vector<ReplicaCountSample>& timeline,
 
 }  // namespace
 
-ClusterScalingReport ClusterManager::report_impl(
-    Seconds end_time, int gpus_override, double cost_override) const {
+ClusterScalingReport ClusterManager::report(Seconds end_time) const {
   ClusterScalingReport report;
   report.enabled = true;
   report.fleet_size = fleet_size_;
@@ -442,18 +394,16 @@ ClusterScalingReport ClusterManager::report_impl(
 
   for (const Pool& pool : pools_) {
     PoolScalingReport p;
-    p.name = pool.info.name;
-    p.sku = pool.info.sku;
-    p.role = pool_role_name(pool.info.role);
+    p.name = pool.spec.name;
+    p.sku = pool.spec.sku_name;
+    p.role = pool_role_name(pool.spec.role);
     p.first_slot = pool.begin;
-    p.slots = pool.info.slots;
-    p.autoscaled = pool.info.autoscale.enabled();
-    p.min_replicas = pool.info.floor_replicas();
-    p.initial_replicas = pool.info.initial_active();
-    p.gpus_per_replica =
-        gpus_override > 0 ? gpus_override : pool.info.gpus_per_replica;
-    p.cost_per_gpu_hour =
-        cost_override >= 0 ? cost_override : pool.info.cost_per_gpu_hour;
+    p.slots = pool.spec.slots();
+    p.autoscaled = pool.spec.autoscale.enabled();
+    p.min_replicas = pool.spec.floor_replicas();
+    p.initial_replicas = pool.spec.initial_active();
+    p.gpus_per_replica = pool.spec.gpus_per_replica();
+    p.cost_per_gpu_hour = pool.spec.effective_cost_per_gpu_hour();
     p.peak_active = pool.peak_active;
     p.num_scale_up_events = pool.num_ups;
     p.num_scale_down_events = pool.num_downs;

@@ -64,42 +64,10 @@ class ClusterManager {
     std::function<void(ReplicaId)> on_decommissioned;
   };
 
-  /// One pool as the manager runs it: a PoolSpec boiled down to scaling
-  /// mechanics plus the reporting identity. `capacity_qps` only matters
-  /// relative to the other pools (the $/SLO-point ranking); <= 0 ranks the
-  /// pool as unit capacity.
-  struct ManagedPool {
-    std::string name = "fleet";
-    std::string sku;
-    PoolRole role = PoolRole::kUnified;
-    int slots = 0;
-    AutoscalerConfig autoscale;  ///< kNone = static pool, pinned at `slots`
-    int gpus_per_replica = 1;
-    double cost_per_gpu_hour = 0.0;
-    double capacity_qps = 0.0;
-
-    /// Active-replica floor (mirrors PoolSpec::floor_replicas).
-    int floor_replicas() const {
-      return autoscale.enabled() ? autoscale.min_replicas : slots;
-    }
-    /// Replicas warm at t=0 (mirrors PoolSpec::initial_active).
-    int initial_active() const {
-      if (!autoscale.enabled()) return slots;
-      return autoscale.initial_replicas == 0 ? autoscale.min_replicas
-                                             : autoscale.initial_replicas;
-    }
-  };
-
-  /// Heterogeneous fleet: slots are laid out pool by pool, in order. At
-  /// least one pool must autoscale. Throws vidur::Error on invalid
-  /// configuration (group inconsistency, floors above ceilings, a
-  /// KV-pressure pool without the KV hook, ...).
-  ClusterManager(std::vector<ManagedPool> pools, EventQueue* events,
-                 Hooks hooks);
-  /// Homogeneous fleet: one pool named "fleet" holding `fleet_size` slots.
-  /// GPU count and cost rate are supplied at report() time.
-  ClusterManager(AutoscalerConfig config, int fleet_size, EventQueue* events,
-                 Hooks hooks);
+  /// Slots are laid out pool by pool, in order (pool_slot_layout). At least
+  /// one pool must autoscale. Throws vidur::Error on invalid pools
+  /// (validate_pools) or a KV-pressure pool without the KV hook.
+  ClusterManager(std::vector<PoolSpec> pools, EventQueue* events, Hooks hooks);
   /// Unregisters the tick handler; a tick still pending in the queue then
   /// fails fast instead of invoking a destroyed manager.
   ~ClusterManager();
@@ -132,7 +100,7 @@ class ClusterManager {
     return pool_of_[static_cast<std::size_t>(replica)];
   }
   PoolRole role_of(ReplicaId replica) const {
-    return pools_[static_cast<std::size_t>(pool_of(replica))].info.role;
+    return pools_[static_cast<std::size_t>(pool_of(replica))].spec.role;
   }
 
   /// Simulator notification: `replica` has no outstanding work and no batch
@@ -166,14 +134,14 @@ class ClusterManager {
   /// Capacity/cost accounting up to `end_time` (replicas still up accrue
   /// until then), per pool and in total.
   ClusterScalingReport report(Seconds end_time) const;
-  /// Homogeneous-fleet form: bills every pool at the given GPU count and
-  /// rate (the single-pool constructor does not know them up front).
-  ClusterScalingReport report(Seconds end_time, int gpus_per_replica,
-                              double cost_per_gpu_hour) const;
 
  private:
   struct Pool {
-    ManagedPool info;
+    PoolSpec spec;
+    /// Per-replica capacity the $/SLO-point ranking divides by: the spec's
+    /// capacity_qps when every elastic pool of the group sets one, else the
+    /// SKU's peak TFLOPs (a ranking never mixes the two sources).
+    double rank_capacity = 0.0;
     int begin = 0;  ///< slot range [begin, end)
     int end = 0;
     int num_ups = 0;
@@ -211,8 +179,6 @@ class ClusterManager {
   /// Decommissioned slots of `pool` whose re-provision hold has expired —
   /// the slots scale_up_group may actually take at `now`.
   int available_slots(const Pool& pool, Seconds now) const;
-  ClusterScalingReport report_impl(Seconds end_time, int gpus_override,
-                                   double cost_override) const;
 
   int fleet_size_ = 0;
   EventQueue* events_;

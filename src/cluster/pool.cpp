@@ -172,15 +172,16 @@ bool any_pool_autoscaled(const std::vector<PoolSpec>& pools) {
 ClusterScalingReport static_pools_report(const std::vector<PoolSpec>& pools,
                                          Seconds makespan) {
   VIDUR_CHECK(!pools.empty() && makespan >= 0);
-  ClusterScalingReport report;
-  report.fleet_size = total_pool_slots(pools);
-  report.min_replicas = report.fleet_size;
-  report.initial_replicas = report.fleet_size;
-  report.peak_active = report.fleet_size;
-  report.mean_active_replicas = report.fleet_size;
-  report.active_timeline = {ReplicaCountSample{0.0, report.fleet_size}};
+  const PoolSpec& first = pools.front();
+  ClusterScalingReport report = static_fleet_report(
+      total_pool_slots(pools), makespan, first.gpus_per_replica(),
+      first.effective_cost_per_gpu_hour());
+  bool bill_alike = true;
   int first_slot = 0;
   for (const PoolSpec& pool : pools) {
+    bill_alike &= pool.gpus_per_replica() == first.gpus_per_replica() &&
+                  pool.effective_cost_per_gpu_hour() ==
+                      first.effective_cost_per_gpu_hour();
     PoolScalingReport p;
     p.name = pool.name;
     p.sku = pool.sku_name;
@@ -197,13 +198,66 @@ ClusterScalingReport static_pools_report(const std::vector<PoolSpec>& pools,
     p.gpu_hours = p.replica_hours * p.gpus_per_replica;
     p.cost_usd = p.gpu_hours * p.cost_per_gpu_hour;
     p.active_timeline = {ReplicaCountSample{0.0, pool.slots()}};
-    report.replica_hours += p.replica_hours;
-    report.gpu_hours += p.gpu_hours;
-    report.cost_usd += p.cost_usd;
     first_slot += pool.slots();
     report.pools.push_back(std::move(p));
   }
+  // Pools that bill alike are one block of slots (the fleet totals above);
+  // mixed rates sum per pool.
+  if (!bill_alike) {
+    report.replica_hours = report.gpu_hours = report.cost_usd = 0.0;
+    for (const PoolScalingReport& p : report.pools) {
+      report.replica_hours += p.replica_hours;
+      report.gpu_hours += p.gpu_hours;
+      report.cost_usd += p.cost_usd;
+    }
+  }
   return report;
+}
+
+std::vector<PoolSpec> lower_to_pools(std::vector<PoolSpec> pools,
+                                     const std::string& sku_name,
+                                     const ParallelConfig& parallel,
+                                     const DisaggConfig& disagg,
+                                     const AutoscalerConfig& autoscale,
+                                     int threads) {
+  const int num_prefill_replicas = disagg.num_prefill_replicas;
+  if (!pools.empty()) {
+    VIDUR_CHECK_MSG(num_prefill_replicas == 0,
+                    "pool deployments define disaggregation through pool "
+                    "roles; leave disagg.num_prefill_replicas at 0 (the "
+                    "transfer_* fields still parameterize KV hand-off)");
+    VIDUR_CHECK_MSG(!autoscale.enabled(),
+                    "pool deployments autoscale per pool; leave the "
+                    "top-level autoscale disabled");
+    return pools;
+  }
+  PoolSpec fleet;
+  fleet.name = "fleet";
+  fleet.sku_name = sku_name;
+  fleet.parallel = parallel;
+  fleet.autoscale = autoscale;
+  if (num_prefill_replicas == 0) return {std::move(fleet)};
+
+  VIDUR_CHECK_MSG(!autoscale.enabled(),
+                  "autoscaling is not supported with legacy disaggregated "
+                  "serving; use a pool deployment with prefill/decode pools "
+                  "instead");
+  VIDUR_CHECK_MSG(num_prefill_replicas < parallel.num_replicas,
+                  "disaggregation requires at least one decode replica");
+  // KV hand-offs between roles have zero lookahead (a prefill's end is the
+  // decode's input), so the split cannot shard.
+  VIDUR_CHECK_MSG(threads <= 1,
+                  "execution.threads > 1 is not supported with legacy "
+                  "disaggregated serving; run with threads = 1");
+  PoolSpec prefill = fleet;
+  prefill.name = "prefill";
+  prefill.role = PoolRole::kPrefill;
+  prefill.parallel.num_replicas = num_prefill_replicas;
+  PoolSpec decode = std::move(fleet);
+  decode.name = "decode";
+  decode.role = PoolRole::kDecode;
+  decode.parallel.num_replicas = parallel.num_replicas - num_prefill_replicas;
+  return {std::move(prefill), std::move(decode)};
 }
 
 }  // namespace vidur

@@ -15,6 +15,7 @@
 #include "cluster/autoscaler.h"
 #include "cluster/replica_state.h"
 #include "hardware/parallel_config.h"
+#include "sim/disagg_config.h"
 
 namespace vidur {
 
@@ -110,8 +111,33 @@ std::vector<int> pool_slot_layout(const std::vector<PoolSpec>& pools);
 bool any_pool_autoscaled(const std::vector<PoolSpec>& pools);
 
 /// Scaling report of an all-static pool deployment: every pool pinned at
-/// its slot count for the whole run, broken out per pool.
+/// its slot count for the whole run, broken out per pool. When every pool
+/// bills alike (same GPUs per replica and rate) the fleet totals are those
+/// of one homogeneous block of slots, bit for bit.
 ClusterScalingReport static_pools_report(const std::vector<PoolSpec>& pools,
                                          Seconds makespan);
+
+/// Lower any deployment form to pools — the only form the engine runs.
+///
+///   - Written `pools` come back unchanged; the homogeneous fields must then
+///     stay at their defaults (no legacy split, `autoscale` off).
+///   - The homogeneous form (`pools` empty) becomes one unified pool named
+///     "fleet" of `parallel.num_replicas` slots carrying `autoscale`.
+///   - The legacy split (`disagg.num_prefill_replicas` > 0) becomes a
+///     "prefill" pool of that many slots followed by a "decode" pool of the
+///     rest. Only the split is lowered; the transfer_* fields keep
+///     parameterizing the KV hand-off.
+///     Prefill slots come first, so round-robin over the role-masked slot
+///     space visits replicas in the order a prefill-only domain would.
+///
+/// Throws vidur::Error for the combinations only the legacy split rejects:
+/// autoscaling, no decode replica, and `threads` > 1. Structural checks of
+/// the result are validate_pools()'s.
+std::vector<PoolSpec> lower_to_pools(std::vector<PoolSpec> pools,
+                                     const std::string& sku_name,
+                                     const ParallelConfig& parallel,
+                                     const DisaggConfig& disagg,
+                                     const AutoscalerConfig& autoscale,
+                                     int threads);
 
 }  // namespace vidur

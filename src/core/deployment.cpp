@@ -4,6 +4,28 @@
 
 namespace vidur {
 
+std::vector<PoolSpec> DeploymentConfig::lowered_pools() const {
+  return lower_to_pools(pools, sku_name, parallel, disagg, autoscale,
+                        threads);
+}
+
+int DeploymentConfig::total_gpus() const {
+  int total = 0;
+  for (const PoolSpec& pool : lowered_pools())
+    total += pool.slots() * pool.gpus_per_replica();
+  return total;
+}
+
+double DeploymentConfig::cost_per_hour() const {
+  double total = 0.0;
+  for (const PoolSpec& pool : lowered_pools())
+    total += pool.effective_cost_per_gpu_hour() *
+             (pool.slots() * pool.gpus_per_replica());
+  return total;
+}
+
+// Prints the form the user wrote: capacity-search output lists configs by
+// this string.
 std::string DeploymentConfig::to_string() const {
   std::ostringstream os;
   if (!pools.empty()) {

@@ -52,23 +52,14 @@ struct DeploymentConfig {
   /// collection (validated).
   int threads = 1;
 
-  int total_gpus() const {
-    if (pools.empty()) return parallel.total_gpus();
-    int total = 0;
-    for (const PoolSpec& pool : pools)
-      total += pool.slots() * pool.gpus_per_replica();
-    return total;
-  }
+  /// The deployment as the engine runs it: lower_to_pools() of this config
+  /// (the homogeneous form and the legacy split become pools).
+  std::vector<PoolSpec> lowered_pools() const;
 
+  /// GPUs of every pool at its slot ceiling.
+  int total_gpus() const;
   /// Rental cost of all GPUs (every pool at its slot ceiling), USD/hour.
-  double cost_per_hour() const {
-    if (pools.empty())
-      return sku_by_name(sku_name).cost_per_hour * total_gpus();
-    double total = 0.0;
-    for (const PoolSpec& pool : pools)
-      total += pool.replica_cost_per_hour() * pool.slots();
-    return total;
-  }
+  double cost_per_hour() const;
 
   /// Human-readable one-liner, e.g.
   /// "h100 tp2 pp2 x4 sarathi(bs=256, chunk=512)".

@@ -40,19 +40,16 @@ SimulationConfig VidurSession::make_sim_config(
     const DeploymentConfig& config) const {
   SimulationConfig sim;
   sim.model = model_;
-  // Pool deployments ignore the top-level SKU; the primary node is only a
-  // placeholder for legacy fields (pool SKUs drive planning and billing).
-  sim.node.sku = sku_by_name(
-      config.pools.empty() ? config.sku_name : config.pools[0].sku_name);
-  sim.parallel = config.parallel;
+  sim.pools = config.lowered_pools();
   sim.scheduler = config.scheduler;
   sim.global_scheduler = config.global_scheduler;
   sim.memory_utilization = options_.memory_utilization;
   sim.async_pipeline_comm = config.async_pipeline_comm;
   sim.collect_operator_metrics = options_.collect_operator_metrics;
-  sim.disagg = config.disagg;
-  sim.autoscale = config.autoscale;
-  sim.pools = config.pools;
+  // The replica split is in the pool roles; only the KV hand-off carries
+  // over.
+  sim.disagg.transfer_bandwidth_gbps = config.disagg.transfer_bandwidth_gbps;
+  sim.disagg.transfer_latency = config.disagg.transfer_latency;
   sim.prefix_cache = config.prefix_cache;
   sim.faults = config.faults;
   sim.threads = config.threads;
@@ -85,17 +82,26 @@ double VidurSession::pool_capacity_weight(const PoolSpec& pool) {
 }
 
 void VidurSession::prepare_pools(SimulationConfig& sim) {
-  if (sim.pools.empty()) return;
-  for (const PoolSpec& pool : sim.pools) onboard(pool.sku_name);
   // Derive capacities only when the spec set none: a partial mix would
   // compare user-supplied qps against estimator-derived iteration rates
-  // (ExperimentSpec::validate rejects that; the simulator's FLOPs fallback
-  // covers direct users).
-  bool any_set = false;
-  for (const PoolSpec& pool : sim.pools) any_set |= pool.capacity_qps > 0;
-  if (any_set) return;
+  // (ExperimentSpec::validate rejects that; the cluster manager's FLOPs
+  // fallback covers direct users).
+  for (const PoolSpec& pool : sim.pools)
+    if (pool.capacity_qps > 0) return;
+  // The manager ranks pools only inside a role group of two or more pools
+  // with at least one autoscaled; nowhere else is a capacity read.
+  const auto ranked = [&sim](PoolRole role) {
+    int pools = 0;
+    bool elastic = false;
+    for (const PoolSpec& pool : sim.pools) {
+      if (pool.role != role) continue;
+      ++pools;
+      elastic |= pool.autoscale.enabled();
+    }
+    return pools >= 2 && elastic;
+  };
   for (PoolSpec& pool : sim.pools)
-    pool.capacity_qps = pool_capacity_weight(pool);
+    if (ranked(pool.role)) pool.capacity_qps = pool_capacity_weight(pool);
 }
 
 namespace {
@@ -131,40 +137,29 @@ SimulationMetrics VidurSession::simulate(
   sim_config.obs = obs;
   const ModelSpec& model = model_;
   const CpuOverheadModel cpu = options_.cpu_overhead;
-  // The distinct estimators backing this run, for the cache-traffic deltas
-  // attributed to it (pools sharing a SKU share one estimator).
+  prepare_pools(sim_config);
+  // Each slot gets a predictor against its pool's per-SKU estimator. The
+  // distinct estimators backing this run carry its cache-traffic deltas
+  // (pools sharing a SKU share one estimator).
   std::vector<const RuntimeEstimator*> used;
-  BackendFactory factory;
-  if (config.pools.empty()) {
-    const RuntimeEstimator& est = estimator(config.sku_name);
-    used.push_back(&est);
-    const ParallelConfig parallel = config.parallel;
-    factory = [&est, &model, parallel, cpu](ReplicaId) {
-      return std::make_unique<ExecutionTimePredictor>(&est, model, parallel,
-                                                      cpu);
-    };
-  } else {
-    prepare_pools(sim_config);
-    // Each slot gets a predictor against its pool's per-SKU estimator.
-    std::vector<const RuntimeEstimator*> estimators;
-    std::vector<ParallelConfig> parallels;
-    for (const PoolSpec& pool : sim_config.pools) {
-      const RuntimeEstimator* est = &estimator(pool.sku_name);
-      estimators.push_back(est);
-      parallels.push_back(pool.parallel);
-      if (std::find(used.begin(), used.end(), est) == used.end())
-        used.push_back(est);
-    }
-    factory = [estimators = std::move(estimators),
-               parallels = std::move(parallels),
-               slot_pool = pool_slot_layout(sim_config.pools), &model,
-               cpu](ReplicaId r) {
-      const auto p = static_cast<std::size_t>(
-          slot_pool[static_cast<std::size_t>(r)]);
-      return std::make_unique<ExecutionTimePredictor>(estimators[p], model,
-                                                      parallels[p], cpu);
-    };
+  std::vector<const RuntimeEstimator*> estimators;
+  std::vector<ParallelConfig> parallels;
+  for (const PoolSpec& pool : sim_config.pools) {
+    const RuntimeEstimator* est = &estimator(pool.sku_name);
+    estimators.push_back(est);
+    parallels.push_back(pool.parallel);
+    if (std::find(used.begin(), used.end(), est) == used.end())
+      used.push_back(est);
   }
+  BackendFactory factory = [estimators = std::move(estimators),
+                            parallels = std::move(parallels),
+                            slot_pool = pool_slot_layout(sim_config.pools),
+                            &model, cpu](ReplicaId r) {
+    const auto p =
+        static_cast<std::size_t>(slot_pool[static_cast<std::size_t>(r)]);
+    return std::make_unique<ExecutionTimePredictor>(estimators[p], model,
+                                                    parallels[p], cpu);
+  };
   std::size_t hits_before = 0, misses_before = 0;
   for (const RuntimeEstimator* est : used) {
     hits_before += est->cache_hits();
@@ -194,35 +189,25 @@ SimulationMetrics VidurSession::simulate_reference(
   sim_config.obs = obs;
   const ModelSpec& model = model_;
   const CpuOverheadModel cpu = options_.cpu_overhead;
-  BackendFactory factory;
-  if (config.pools.empty()) {
-    const ParallelConfig parallel = config.parallel;
-    const NodeSpec node = sim_config.node;
-    factory = [&model, node, parallel, cpu, seed](ReplicaId replica) {
-      return std::make_unique<ReferenceExecutor>(
-          node, model, parallel, seed * 0x9e3779b97f4a7c15ULL + replica,
-          cpu);
-    };
-  } else {
-    prepare_pools(sim_config);
-    std::vector<NodeSpec> nodes;
-    std::vector<ParallelConfig> parallels;
-    for (const PoolSpec& pool : sim_config.pools) {
-      NodeSpec node = sim_config.node;
-      node.sku = sku_by_name(pool.sku_name);
-      nodes.push_back(node);
-      parallels.push_back(pool.parallel);
-    }
-    factory = [nodes = std::move(nodes), parallels = std::move(parallels),
-               slot_pool = pool_slot_layout(sim_config.pools), &model, cpu,
-               seed](ReplicaId replica) {
-      const auto p = static_cast<std::size_t>(
-          slot_pool[static_cast<std::size_t>(replica)]);
-      return std::make_unique<ReferenceExecutor>(
-          nodes[p], model, parallels[p],
-          seed * 0x9e3779b97f4a7c15ULL + replica, cpu);
-    };
+  prepare_pools(sim_config);
+  std::vector<NodeSpec> nodes;
+  std::vector<ParallelConfig> parallels;
+  for (const PoolSpec& pool : sim_config.pools) {
+    NodeSpec node = sim_config.node;
+    node.sku = sku_by_name(pool.sku_name);
+    nodes.push_back(node);
+    parallels.push_back(pool.parallel);
   }
+  BackendFactory factory = [nodes = std::move(nodes),
+                            parallels = std::move(parallels),
+                            slot_pool = pool_slot_layout(sim_config.pools),
+                            &model, cpu, seed](ReplicaId replica) {
+    const auto p = static_cast<std::size_t>(
+        slot_pool[static_cast<std::size_t>(replica)]);
+    return std::make_unique<ReferenceExecutor>(
+        nodes[p], model, parallels[p], seed * 0x9e3779b97f4a7c15ULL + replica,
+        cpu);
+  };
   Simulator sim(sim_config, trace, std::move(factory));
   // Reference runs are not counted as simulated GPU time: they represent
   // what the paper executes on the real testbed.

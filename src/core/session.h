@@ -84,9 +84,10 @@ class VidurSession {
   SimulationConfig make_sim_config(const DeploymentConfig& config) const;
   void account(const SimulationMetrics& metrics,
                const DeploymentConfig& config);
-  /// Onboard every pool's SKU and fill unset per-pool capacities with the
-  /// estimator-derived relative throughput (pool_capacity_weight); the
-  /// cost-aware scale-out policy ranks pools by $/SLO-point with these.
+  /// Fill unset capacities of the pools the cost-aware scale-out policy
+  /// ranks by $/SLO-point (a role group of two or more pools, one of them
+  /// autoscaled) with the estimator-derived relative throughput
+  /// (pool_capacity_weight).
   void prepare_pools(SimulationConfig& sim);
   /// Relative per-replica capacity of one pool: the reciprocal predicted
   /// time of a canonical continuous-batching iteration (one 512-token

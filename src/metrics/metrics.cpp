@@ -8,45 +8,65 @@
 
 namespace vidur {
 
-MetricsCollector::MetricsCollector(ClusterResources cluster)
-    : cluster_(cluster) {
-  VIDUR_CHECK(cluster_.num_replicas >= 1);
-  VIDUR_CHECK(cluster_.peak_flops_per_gpu > 0);
-  VIDUR_CHECK(cluster_.gpus_per_replica >= 1);
-  VIDUR_CHECK(cluster_.hbm_bytes_per_sec_per_gpu >= 0);
-  VIDUR_CHECK(cluster_.idle_watts_per_gpu >= 0);
-  VIDUR_CHECK(cluster_.peak_watts_per_gpu >= cluster_.idle_watts_per_gpu);
+Seconds RequestRecord::worst_tbt() const {
+  Seconds worst = -1.0;
+  for (std::size_t i = 1; i < token_times.size(); ++i)
+    worst = std::max(worst, token_times[i] - token_times[i - 1]);
+  return worst;
+}
+
+bool meets_slo(const RequestRecord& r, const SloSpec& slo) {
+  // worst_tbt() is -1 below two tokens, which no positive target rejects.
+  if (!r.completed()) return false;
+  if (slo.ttft_target > 0 && r.ttft() > slo.ttft_target) return false;
+  if (slo.tbt_target > 0 && r.worst_tbt() > slo.tbt_target) return false;
+  return true;
+}
+
+MetricsCollector::MetricsCollector(std::vector<PoolResources> pools,
+                                   std::vector<int> pool_of_slot)
+    : pools_(std::move(pools)), pool_of_slot_(std::move(pool_of_slot)) {
+  VIDUR_CHECK(!pools_.empty() && !pool_of_slot_.empty());
+  const PoolResources& first = pools_.front();
+  for (const PoolResources& p : pools_) {
+    VIDUR_CHECK(p.gpus_per_replica >= 1);
+    VIDUR_CHECK(p.peak_flops_per_gpu > 0);
+    VIDUR_CHECK(p.hbm_bytes_per_sec_per_gpu >= 0);
+    VIDUR_CHECK(p.idle_watts_per_gpu >= 0);
+    VIDUR_CHECK(p.peak_watts_per_gpu >= p.idle_watts_per_gpu);
+    uniform_ &= p.gpus_per_replica == first.gpus_per_replica &&
+                p.peak_flops_per_gpu == first.peak_flops_per_gpu &&
+                p.hbm_bytes_per_sec_per_gpu ==
+                    first.hbm_bytes_per_sec_per_gpu &&
+                p.idle_watts_per_gpu == first.idle_watts_per_gpu &&
+                p.peak_watts_per_gpu == first.peak_watts_per_gpu;
+  }
+  pool_slots_.assign(pools_.size(), 0);
+  for (const int p : pool_of_slot_) {
+    VIDUR_CHECK_MSG(p >= 0 && p < static_cast<int>(pools_.size()),
+                    "pool_of_slot entry " << p << " out of range");
+    ++pool_slots_[static_cast<std::size_t>(p)];
+  }
+  pool_accs_.assign(pools_.size(), PoolAcc{});
 }
 
 MetricsCollector::MetricsCollector(int num_replicas,
                                    double peak_flops_per_gpu,
                                    int gpus_per_replica,
                                    double hbm_bytes_per_sec_per_gpu)
-    : MetricsCollector(ClusterResources{
-          .num_replicas = num_replicas,
-          .gpus_per_replica = gpus_per_replica,
-          .peak_flops_per_gpu = peak_flops_per_gpu,
-          .hbm_bytes_per_sec_per_gpu = hbm_bytes_per_sec_per_gpu}) {}
-
-void MetricsCollector::set_pools(std::vector<PoolResources> pools,
-                                 std::vector<int> pool_of_slot) {
-  for (const int p : pool_of_slot)
-    VIDUR_CHECK_MSG(p >= 0 && p < static_cast<int>(pools.size()),
-                    "pool_of_slot entry " << p << " out of range");
-  for (const PoolResources& p : pools) {
-    VIDUR_CHECK(p.gpus_per_replica >= 1);
-    VIDUR_CHECK(p.peak_flops_per_gpu > 0);
-  }
-  pools_ = std::move(pools);
-  pool_of_slot_ = std::move(pool_of_slot);
-  pool_accs_.assign(pools_.size(), PoolAcc{});
-}
+    : MetricsCollector(
+          {PoolResources{.name = "fleet",
+                         .gpus_per_replica = gpus_per_replica,
+                         .peak_flops_per_gpu = peak_flops_per_gpu,
+                         .hbm_bytes_per_sec_per_gpu =
+                             hbm_bytes_per_sec_per_gpu}},
+          std::vector<int>(static_cast<std::size_t>(std::max(num_replicas, 0)),
+                           0)) {}
 
 namespace {
 
-/// Linear power model shared by the fleet-average and per-pool paths:
-/// intensity is the batch's per-GPU FLOP or bandwidth utilization,
-/// whichever dominates (roofline-style).
+/// Linear power model: intensity is the batch's per-GPU FLOP or bandwidth
+/// utilization, whichever dominates (roofline-style).
 double batch_energy_joules(const BatchRecord& record, double duration,
                            int gpus_per_replica, double peak_flops_per_gpu,
                            double hbm_bytes_per_sec_per_gpu,
@@ -80,32 +100,22 @@ void MetricsCollector::record_batch(const BatchRecord& record) {
   total_q_tokens_ += record.q_tokens;
   ++total_batches_;
 
-  // Fleet-average energy against the (possibly slot-weighted) cluster
-  // rates — kept as-is so homogeneous runs and the existing fleet metrics
-  // are unchanged by per-pool attribution.
-  busy_energy_joules_ += batch_energy_joules(
-      record, duration, cluster_.gpus_per_replica,
-      cluster_.peak_flops_per_gpu, cluster_.hbm_bytes_per_sec_per_gpu,
-      cluster_.idle_watts_per_gpu, cluster_.peak_watts_per_gpu);
-
-  // Exact per-pool attribution: the same batch accumulated against its own
-  // pool's SKU rates.
-  if (!pools_.empty()) {
-    const auto slot = static_cast<std::size_t>(record.replica);
-    VIDUR_CHECK_MSG(slot < pool_of_slot_.size(),
-                    "batch replica " << record.replica
-                                     << " outside the pool slot layout");
-    const auto pool = static_cast<std::size_t>(pool_of_slot_[slot]);
-    const PoolResources& res = pools_[pool];
-    PoolAcc& acc = pool_accs_[pool];
-    acc.flops += record.flops;
-    acc.hbm_bytes += static_cast<double>(record.hbm_bytes_per_gpu);
-    acc.busy_time += duration;
-    acc.busy_energy_joules += batch_energy_joules(
-        record, duration, res.gpus_per_replica, res.peak_flops_per_gpu,
-        res.hbm_bytes_per_sec_per_gpu, res.idle_watts_per_gpu,
-        res.peak_watts_per_gpu);
-  }
+  const auto slot = static_cast<std::size_t>(record.replica);
+  VIDUR_CHECK_MSG(slot < pool_of_slot_.size(),
+                  "batch replica " << record.replica
+                                   << " outside the pool slot layout");
+  const auto pool = static_cast<std::size_t>(pool_of_slot_[slot]);
+  const PoolResources& res = pools_[pool];
+  const double energy = batch_energy_joules(
+      record, duration, res.gpus_per_replica, res.peak_flops_per_gpu,
+      res.hbm_bytes_per_sec_per_gpu, res.idle_watts_per_gpu,
+      res.peak_watts_per_gpu);
+  busy_energy_joules_ += energy;
+  PoolAcc& acc = pool_accs_[pool];
+  acc.flops += record.flops;
+  acc.hbm_bytes += static_cast<double>(record.hbm_bytes_per_gpu);
+  acc.busy_time += duration;
+  acc.busy_energy_joules += energy;
 }
 
 void MetricsCollector::set_tenants(std::vector<TenantInfo> tenants) {
@@ -117,25 +127,6 @@ void MetricsCollector::record_request(const RequestRecord& record) {
   requests_.push_back(record);
 }
 
-namespace {
-
-/// Worst inter-token gap of one request (0 when fewer than two tokens).
-Seconds max_tbt(const RequestRecord& r) {
-  Seconds worst = 0.0;
-  for (std::size_t i = 1; i < r.token_times.size(); ++i)
-    worst = std::max(worst, r.token_times[i] - r.token_times[i - 1]);
-  return worst;
-}
-
-bool meets_slo(const RequestRecord& r, const SloSpec& slo) {
-  if (!r.completed()) return false;
-  if (slo.ttft_target > 0 && r.ttft() > slo.ttft_target) return false;
-  if (slo.tbt_target > 0 && max_tbt(r) > slo.tbt_target) return false;
-  return true;
-}
-
-}  // namespace
-
 void MetricsCollector::record_operators(
     const std::map<OpType, Seconds>& per_op) {
   for (const auto& [op, seconds] : per_op) {
@@ -146,9 +137,13 @@ void MetricsCollector::record_operators(
 }
 
 SimulationMetrics MetricsCollector::finalize(Seconds now) const {
-  return finalize(now, static_fleet_report(cluster_.num_replicas, now,
-                                           cluster_.gpus_per_replica,
-                                           /*cost_per_gpu_hour=*/0.0));
+  VIDUR_CHECK_MSG(uniform_,
+                  "finalize(now) needs identical pools; pass the fleet's "
+                  "scaling report for a fleet of mixed pool rates");
+  return finalize(now, static_fleet_report(
+                           static_cast<int>(pool_of_slot_.size()), now,
+                           pools_.front().gpus_per_replica,
+                           /*cost_per_gpu_hour=*/0.0));
 }
 
 SimulationMetrics MetricsCollector::finalize(
@@ -181,27 +176,43 @@ SimulationMetrics MetricsCollector::finalize(
   if (now > 0) {
     m.throughput_qps = static_cast<double>(m.num_completed) / now;
     m.output_tokens_per_sec = static_cast<double>(output_tokens) / now;
-    const double cluster_flops = cluster_.peak_flops_per_gpu *
-                                 cluster_.gpus_per_replica *
-                                 cluster_.num_replicas;
-    m.mfu = total_flops_ / (now * cluster_flops);
-    // hbm bytes are recorded per GPU, and each replica's GPUs move them in
-    // parallel, so normalize by replica count only.
-    if (cluster_.hbm_bytes_per_sec_per_gpu > 0)
-      m.mbu = total_hbm_bytes_ /
-              (now * cluster_.num_replicas * cluster_.hbm_bytes_per_sec_per_gpu);
-    m.busy_fraction = total_busy_time_ / (now * cluster_.num_replicas);
-
-    if (cluster_.peak_watts_per_gpu > 0) {
-      // Idle draw is billed against the fleet's paid GPU-time (the scaling
-      // report's replica timeline), not the static slot ceiling: a replica
-      // slot that was never provisioned draws nothing, and a decommissioned
-      // one stops drawing at release.
-      const double paid_gpu_seconds = scaling.gpu_hours * 3600.0;
-      const double idle_gpu_seconds = std::max(
-          0.0, paid_gpu_seconds - total_busy_time_ * cluster_.gpus_per_replica);
-      m.total_energy_joules =
-          busy_energy_joules_ + idle_gpu_seconds * cluster_.idle_watts_per_gpu;
+    const int slots = static_cast<int>(pool_of_slot_.size());
+    m.busy_fraction = total_busy_time_ / (now * slots);
+    // Fleet MFU over the summed peak FLOPs; MBU over the summed per-GPU
+    // bandwidth of every replica (hbm bytes are recorded per GPU, and a
+    // replica's GPUs move them in parallel). Idle draw is billed against
+    // the fleet's paid GPU-time — a slot that was never provisioned draws
+    // nothing — under one fleet-wide clamp: at PP > 1 overlapping batches
+    // can count more busy GPU-time than was paid for.
+    double peak_flops = 0.0, bandwidth = 0.0, idle_joules = 0.0;
+    bool energy = false;
+    if (uniform_) {
+      const PoolResources& r = pools_.front();
+      peak_flops = r.peak_flops_per_gpu * r.gpus_per_replica * slots;
+      bandwidth = now * slots * r.hbm_bytes_per_sec_per_gpu;
+      idle_joules =
+          (scaling.gpu_hours * 3600.0 - total_busy_time_ * r.gpus_per_replica) *
+          r.idle_watts_per_gpu;
+      energy = r.peak_watts_per_gpu > 0;
+    } else {
+      VIDUR_CHECK_MSG(scaling.pools.size() == pools_.size(),
+                      "a fleet of mixed pool rates needs the scaling "
+                      "report's per-pool breakout");
+      for (std::size_t i = 0; i < pools_.size(); ++i) {
+        const PoolResources& r = pools_[i];
+        const int n = pool_slots_[i];
+        peak_flops += r.peak_flops_per_gpu * r.gpus_per_replica * n;
+        bandwidth += now * n * r.hbm_bytes_per_sec_per_gpu;
+        idle_joules += (scaling.pools[i].gpu_hours * 3600.0 -
+                        pool_accs_[i].busy_time * r.gpus_per_replica) *
+                       r.idle_watts_per_gpu;
+        energy |= r.peak_watts_per_gpu > 0;
+      }
+    }
+    m.mfu = total_flops_ / (now * peak_flops);
+    if (bandwidth > 0) m.mbu = total_hbm_bytes_ / bandwidth;
+    if (energy) {
+      m.total_energy_joules = busy_energy_joules_ + std::max(0.0, idle_joules);
       if (output_tokens > 0)
         m.energy_per_output_token =
             m.total_energy_joules / static_cast<double>(output_tokens);
@@ -216,7 +227,7 @@ SimulationMetrics MetricsCollector::finalize(
 
   // Exact per-pool MFU/MBU/energy: each pool's own batch sums over the
   // pool's own SKU rates and *paid* GPU-time (its scaling-report hours).
-  if (!pools_.empty() && m.scaling.pools.size() == pools_.size()) {
+  if (m.scaling.pools.size() == pools_.size()) {
     for (std::size_t i = 0; i < pools_.size(); ++i) {
       const PoolResources& res = pools_[i];
       const PoolAcc& acc = pool_accs_[i];

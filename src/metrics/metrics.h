@@ -58,6 +58,8 @@ struct RequestRecord {
   std::vector<Seconds> token_times;  ///< decode-token emission times (TBT)
 
   bool completed() const { return completed_time >= 0.0; }
+  /// Worst inter-token gap; -1 with fewer than two decode tokens.
+  Seconds worst_tbt() const;
   /// Touched by a fault: displaced, handed off, shed or lost.
   bool fault_impacted() const {
     return num_retries > 0 || num_handoffs > 0 || shed || lost;
@@ -79,6 +81,9 @@ struct RequestRecord {
   }
 };
 
+/// True when `r` completed within every enabled target of `slo`.
+bool meets_slo(const RequestRecord& r, const SloSpec& slo);
+
 /// One executed iteration (replica-level accounting).
 struct BatchRecord {
   ReplicaId replica = 0;
@@ -91,31 +96,18 @@ struct BatchRecord {
   double kv_utilization = 0.0;  ///< blocks in use / total, at submission
 };
 
-/// Static description of the cluster the collector accounts against.
-/// Power draw follows a linear utilization model: a GPU running a batch at
-/// intensity u (its FLOP or bandwidth utilization, whichever is higher)
-/// draws idle + (peak - idle) * u watts; an idle GPU draws idle watts.
-struct ClusterResources {
-  int num_replicas = 1;
-  int gpus_per_replica = 1;
-  double peak_flops_per_gpu = 0.0;
-  double hbm_bytes_per_sec_per_gpu = 0.0;
-  double idle_watts_per_gpu = 0.0;
-  double peak_watts_per_gpu = 0.0;  ///< 0 disables energy accounting
-};
-
-/// Per-pool resource rates for exact attribution: one entry per pool of a
-/// heterogeneous (or single-pool elastic) deployment, in pool order. The
-/// collector accumulates each pool's batches against its own SKU rates,
-/// replacing the fleet-level slot-weighted approximation for the per-pool
-/// breakout in PoolScalingReport.
+/// Resource rates of one pool: the collector accounts every batch against
+/// its own pool's SKU. Power draw follows a linear utilization model: a GPU
+/// running a batch at intensity u (its FLOP or bandwidth utilization,
+/// whichever is higher) draws idle + (peak - idle) * u watts; an idle GPU
+/// draws idle watts.
 struct PoolResources {
   std::string name;
   int gpus_per_replica = 1;
   double peak_flops_per_gpu = 0.0;
   double hbm_bytes_per_sec_per_gpu = 0.0;
   double idle_watts_per_gpu = 0.0;
-  double peak_watts_per_gpu = 0.0;
+  double peak_watts_per_gpu = 0.0;  ///< 0 disables energy accounting
 };
 
 /// Exact prefix-cache accounting aggregated across a run's replicas
@@ -288,8 +280,11 @@ struct SimulationMetrics {
 /// Collects raw samples during a run and aggregates them at the end.
 class MetricsCollector {
  public:
-  explicit MetricsCollector(ClusterResources cluster);
-  /// Convenience overload used widely by tests; no power model.
+  /// `pools` carries each pool's rates, in pool order (the scaling report's
+  /// order); `pool_of_slot` maps every replica slot to its pool index.
+  MetricsCollector(std::vector<PoolResources> pools,
+                   std::vector<int> pool_of_slot);
+  /// One pool of `num_replicas` identical replicas without a power model.
   MetricsCollector(int num_replicas, double peak_flops_per_gpu,
                    int gpus_per_replica,
                    double hbm_bytes_per_sec_per_gpu = 0.0);
@@ -299,26 +294,19 @@ class MetricsCollector {
   /// generated name. May be called at any time before finalize().
   void set_tenants(std::vector<TenantInfo> tenants);
 
-  /// Enable exact per-pool attribution: `pools` carries each pool's own SKU
-  /// rates (in pool order, matching the scaling report's pool order) and
-  /// `pool_of_slot` maps every replica slot to its pool index. Batches are
-  /// then additionally accumulated per pool, and finalize() fills the
-  /// mfu/mbu/busy_fraction/energy_joules fields of each PoolScalingReport
-  /// from those exact sums. Call before the first record_batch().
-  void set_pools(std::vector<PoolResources> pools,
-                 std::vector<int> pool_of_slot);
-
   void record_batch(const BatchRecord& record);
   void record_request(const RequestRecord& record);
   /// Accumulate one stage execution's per-operator time attribution.
   void record_operators(const std::map<OpType, Seconds>& per_op);
 
-  /// Aggregate. `now` is the simulation end time (makespan). The overload
-  /// taking the fleet's scaling report attaches it to the result and bills
-  /// idle energy from the fleet's actual paid GPU-time — an autoscaled run
-  /// pays idle watts only while a replica is up (provisioning through
-  /// decommission), not for the whole static slot ceiling. The one-argument
-  /// form assumes a fixed fleet of `num_replicas` active the whole run.
+  /// Aggregate. `now` is the simulation end time (makespan); `scaling` is
+  /// the fleet's scaling report, attached to the result. Idle energy is
+  /// billed on the fleet's paid GPU-time — an autoscaled run pays idle
+  /// watts only while a replica is up — with one fleet-wide clamp, and the
+  /// report's pools receive their exact MFU/MBU/busy/energy breakout. A
+  /// fleet of mixed pool rates needs the report's per-pool paid hours. The
+  /// one-argument form assumes a fleet of identical pools, all active for
+  /// the whole run.
   SimulationMetrics finalize(Seconds now) const;
   SimulationMetrics finalize(Seconds now,
                              const ClusterScalingReport& scaling) const;
@@ -336,11 +324,14 @@ class MetricsCollector {
     double busy_energy_joules = 0.0;
   };
 
-  ClusterResources cluster_;
-  std::vector<TenantInfo> tenants_;
-  std::vector<RequestRecord> requests_;
   std::vector<PoolResources> pools_;
   std::vector<int> pool_of_slot_;
+  std::vector<int> pool_slots_;  ///< slot count per pool
+  /// Every pool has the same rates: the fleet is one block of identical
+  /// slots and takes the homogeneous arithmetic, bit for bit.
+  bool uniform_ = true;
+  std::vector<TenantInfo> tenants_;
+  std::vector<RequestRecord> requests_;
   std::vector<PoolAcc> pool_accs_;
   // Streaming replica-level accumulators (batch records are not retained).
   double total_flops_ = 0.0;
@@ -348,6 +339,7 @@ class MetricsCollector {
   double total_busy_time_ = 0.0;
   double weighted_kv_util_ = 0.0;
   double weighted_batch_size_ = 0.0;
+  /// Sum of every batch's energy at its own pool's rates, in batch order.
   double busy_energy_joules_ = 0.0;
   std::int64_t total_batches_ = 0;
   TokenCount total_q_tokens_ = 0;

@@ -12,18 +12,12 @@ namespace vidur {
 
 namespace {
 
-int count_slots(const SimulationConfig& c) {
-  return c.pools.empty() ? c.parallel.num_replicas : total_pool_slots(c.pools);
-}
-
-/// Routing-domain size of the global scheduler. Under legacy
-/// disaggregation, arrivals are only routed among the prefill replicas;
-/// decode replicas receive work via KV-transfer hand-off. Pool deployments
-/// route over every slot and mask decode/inactive slots out instead.
-int routing_domain(const SimulationConfig& c) {
-  if (!c.pools.empty()) return total_pool_slots(c.pools);
-  return c.disagg.enabled() ? c.disagg.num_prefill_replicas
-                            : c.parallel.num_replicas;
+/// The run's deployment with every form lowered to pools. Nothing reads
+/// the homogeneous fields afterwards.
+SimulationConfig lowered(SimulationConfig c) {
+  c.pools = lower_to_pools(std::move(c.pools), c.node.sku.name, c.parallel,
+                           c.disagg, c.autoscale, c.threads);
+  return c;
 }
 
 NodeSpec pool_node(const SimulationConfig& c, const PoolSpec& pool) {
@@ -32,49 +26,19 @@ NodeSpec pool_node(const SimulationConfig& c, const PoolSpec& pool) {
   return node;
 }
 
-MemoryPlan primary_memory_plan(const SimulationConfig& c) {
-  if (c.pools.empty())
-    return plan_memory(c.model, c.node, c.parallel, c.memory_utilization);
-  return plan_memory(c.model, pool_node(c, c.pools[0]), c.pools[0].parallel,
-                     c.memory_utilization);
-}
-
-/// Resources the metrics collector accounts against. Heterogeneous pools
-/// are folded to per-REPLICA means with gpus_per_replica pinned at 1, so
-/// every num_replicas x gpus_per_replica x rate product equals the exact
-/// fleet total (no GPUs lost to integer rounding); for homogeneous pools
-/// this is arithmetically identical to the per-GPU form. Fleet-level
-/// MFU/MBU/energy are still slot-weighted averages across mixed SKUs; the
-/// exact per-pool numbers come from MetricsCollector::set_pools (wired in
-/// setup_observability), GPU-hours and cost from the scaling report.
-ClusterResources cluster_resources(const SimulationConfig& c) {
-  if (c.pools.empty()) {
-    return ClusterResources{
-        .num_replicas = c.parallel.num_replicas,
-        .gpus_per_replica = c.parallel.gpus_per_replica(),
-        .peak_flops_per_gpu = c.node.sku.peak_flops(),
-        .hbm_bytes_per_sec_per_gpu = c.node.sku.hbm_bytes_per_sec(),
-        .idle_watts_per_gpu = c.node.sku.idle_watts,
-        .peak_watts_per_gpu = c.node.sku.peak_watts};
-  }
-  double slots = 0, flops = 0, bw = 0, idle = 0, peak = 0;
-  for (const PoolSpec& pool : c.pools) {
+std::vector<PoolResources> pool_resources(const std::vector<PoolSpec>& pools) {
+  std::vector<PoolResources> out;
+  for (const PoolSpec& pool : pools) {
     const SkuSpec sku = sku_by_name(pool.sku_name);
-    const double n = pool.slots();
-    const double g = pool.gpus_per_replica();
-    slots += n;
-    flops += n * g * sku.peak_flops();
-    bw += n * g * sku.hbm_bytes_per_sec();
-    idle += n * g * sku.idle_watts;
-    peak += n * g * sku.peak_watts;
+    out.push_back(PoolResources{
+        .name = pool.name,
+        .gpus_per_replica = pool.gpus_per_replica(),
+        .peak_flops_per_gpu = sku.peak_flops(),
+        .hbm_bytes_per_sec_per_gpu = sku.hbm_bytes_per_sec(),
+        .idle_watts_per_gpu = sku.idle_watts,
+        .peak_watts_per_gpu = sku.peak_watts});
   }
-  return ClusterResources{
-      .num_replicas = static_cast<int>(slots),
-      .gpus_per_replica = 1,  // rates below are per replica, not per GPU
-      .peak_flops_per_gpu = flops / slots,
-      .hbm_bytes_per_sec_per_gpu = bw / slots,
-      .idle_watts_per_gpu = idle / slots,
-      .peak_watts_per_gpu = peak / slots};
+  return out;
 }
 
 }  // namespace
@@ -97,42 +61,20 @@ TraceRecorder* Simulator::local_trace() {
 
 Simulator::Simulator(SimulationConfig config, Trace trace,
                      BackendFactory factory)
-    : config_(std::move(config)),
+    : config_(lowered(std::move(config))),
       trace_(std::move(trace)),
-      num_slots_(count_slots(config_)),
-      global_(config_.global_scheduler, routing_domain(config_)),
-      memory_plan_(primary_memory_plan(config_)),
-      metrics_(cluster_resources(config_)) {
+      pool_of_slot_(pool_slot_layout(config_.pools)),
+      num_slots_(static_cast<int>(pool_of_slot_.size())),
+      global_(config_.global_scheduler, num_slots_),
+      metrics_(pool_resources(config_.pools), pool_of_slot_) {
   config_.model.validate();
   config_.scheduler.validate();
   VIDUR_CHECK(factory != nullptr);
-  if (pool_mode()) {
-    validate_pools(config_.pools);
-    VIDUR_CHECK_MSG(!config_.disagg.enabled(),
-                    "pool deployments define disaggregation through pool "
-                    "roles; leave disagg.num_prefill_replicas at 0 (the "
-                    "transfer_* fields still parameterize KV hand-off)");
-    VIDUR_CHECK_MSG(!config_.autoscale.enabled(),
-                    "pool deployments autoscale per pool; leave the "
-                    "top-level autoscale disabled");
+  validate_pools(config_.pools);
+  const bool disaggregated = pools_disaggregated(config_.pools);
+  if (disaggregated) {
     VIDUR_CHECK(config_.disagg.transfer_bandwidth_gbps > 0);
     VIDUR_CHECK(config_.disagg.transfer_latency >= 0);
-  } else {
-    config_.parallel.validate();
-    if (config_.autoscale.enabled()) {
-      config_.autoscale.validate();
-      VIDUR_CHECK_MSG(!config_.disagg.enabled(),
-                      "autoscaling is not supported with legacy "
-                      "disaggregated serving; use a pool deployment with "
-                      "prefill/decode pools instead");
-    }
-    if (config_.disagg.enabled()) {
-      VIDUR_CHECK_MSG(
-          config_.disagg.num_prefill_replicas < config_.parallel.num_replicas,
-          "disaggregation requires at least one decode replica");
-      VIDUR_CHECK(config_.disagg.transfer_bandwidth_gbps > 0);
-      VIDUR_CHECK(config_.disagg.transfer_latency >= 0);
-    }
   }
 
   VIDUR_CHECK_MSG(config_.threads >= 1,
@@ -142,10 +84,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
     // KV hand-offs between roles have zero lookahead (a prefill's end is
     // the decode's input), so disaggregated serving cannot shard; operator
     // metrics aggregate into one collector from every stage execution.
-    VIDUR_CHECK_MSG(!config_.disagg.enabled(),
-                    "execution.threads > 1 is not supported with legacy "
-                    "disaggregated serving; run with threads = 1");
-    VIDUR_CHECK_MSG(!(pool_mode() && pools_disaggregated(config_.pools)),
+    VIDUR_CHECK_MSG(!disaggregated,
                     "execution.threads > 1 is not supported with "
                     "role-disaggregated pools; run with threads = 1");
     VIDUR_CHECK_MSG(!config_.collect_operator_metrics,
@@ -153,26 +92,17 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
                     "metrics collection; run with threads = 1");
   }
 
-  if (pool_mode()) {
-    pool_plans_.push_back(memory_plan_);  // pool 0 is the primary plan
-    for (std::size_t p = 1; p < config_.pools.size(); ++p)
-      pool_plans_.push_back(plan_memory(config_.model,
-                                        pool_node(config_, config_.pools[p]),
-                                        config_.pools[p].parallel,
-                                        config_.memory_utilization));
-    pool_of_slot_ = pool_slot_layout(config_.pools);
-  }
+  for (const PoolSpec& pool : config_.pools)
+    pool_plans_.push_back(plan_memory(config_.model, pool_node(config_, pool),
+                                      pool.parallel,
+                                      config_.memory_utilization));
 
   replicas_.reserve(static_cast<std::size_t>(num_slots_));
   for (ReplicaId r = 0; r < num_slots_; ++r) {
     Replica replica;
     const MemoryPlan& plan =
-        pool_mode() ? pool_plans_[static_cast<std::size_t>(
-                          pool_of_slot_[static_cast<std::size_t>(r)])]
-                    : memory_plan_;
-    const bool disaggregated =
-        pool_mode() ? pools_disaggregated(config_.pools)
-                    : config_.disagg.enabled();
+        pool_plans_[static_cast<std::size_t>(
+            pool_of_slot_[static_cast<std::size_t>(r)])];
     if (!disaggregated) {
       replica.scheduler = make_replica_scheduler(config_.scheduler, plan);
     } else if (is_prefill_replica(r)) {
@@ -209,9 +139,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
 
   metrics_.set_tenants(config_.tenants);
 
-  const bool elastic = pool_mode() ? any_pool_autoscaled(config_.pools)
-                                   : config_.autoscale.enabled();
-  if (elastic) {
+  if (any_pool_autoscaled(config_.pools)) {
     ClusterManager::Hooks hooks;
     // outstanding() already covers requests inside in-flight batches (they
     // stay in the running set until their batch ends), so it serves both
@@ -245,46 +173,8 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
           .scheduler->blocks()
           .utilization();
     };
-    if (pool_mode()) {
-      // Cost-aware placement ranks pools by $/SLO-point; the capacity side
-      // comes from the spec (estimator-derived by VidurSession). If any
-      // pool left it unset, fall back to the SKU's peak FLOPs for every
-      // pool, so the ranking never mixes sources.
-      bool all_caps = true;
-      for (const PoolSpec& pool : config_.pools)
-        all_caps &= pool.capacity_qps > 0;
-      std::vector<ClusterManager::ManagedPool> managed;
-      for (const PoolSpec& pool : config_.pools) {
-        ClusterManager::ManagedPool m;
-        m.name = pool.name;
-        m.sku = pool.sku_name;
-        m.role = pool.role;
-        m.slots = pool.slots();
-        m.autoscale = pool.autoscale;
-        m.gpus_per_replica = pool.gpus_per_replica();
-        m.cost_per_gpu_hour = pool.effective_cost_per_gpu_hour();
-        m.capacity_qps = all_caps
-                             ? pool.capacity_qps
-                             : sku_by_name(pool.sku_name).peak_fp16_tflops;
-        managed.push_back(std::move(m));
-      }
-      cluster_ = std::make_unique<ClusterManager>(std::move(managed),
-                                                  &events_, std::move(hooks));
-    } else {
-      // The homogeneous fleet is the single-pool special case; carrying
-      // the SKU and rates here gives legacy runs the same per-pool report
-      // shape as heterogeneous ones.
-      ClusterManager::ManagedPool m;
-      m.sku = config_.node.sku.name;
-      m.slots = config_.parallel.num_replicas;
-      m.autoscale = config_.autoscale;
-      m.gpus_per_replica = config_.parallel.gpus_per_replica();
-      m.cost_per_gpu_hour = config_.node.sku.cost_per_hour;
-      std::vector<ClusterManager::ManagedPool> managed;
-      managed.push_back(std::move(m));
-      cluster_ = std::make_unique<ClusterManager>(std::move(managed),
-                                                  &events_, std::move(hooks));
-    }
+    cluster_ = std::make_unique<ClusterManager>(config_.pools, &events_,
+                                                std::move(hooks));
   }
 
   // Request states must never reallocate: schedulers hold raw pointers.
@@ -331,7 +221,7 @@ void Simulator::setup_faults() {
     std::vector<ReplicaId> out;
     const bool fleet = pool.empty() || pool == "fleet";
     for (ReplicaId r = 0; r < num_slots_; ++r) {
-      if (!fleet && (!pool_mode() || pool_of(r).name != pool)) continue;
+      if (!fleet && pool_of(r).name != pool) continue;
       if (cluster_ && !cluster_->is_routable(r)) continue;
       out.push_back(r);
     }
@@ -399,7 +289,7 @@ void Simulator::recover_request(RequestState* request, ReplicaId replica_id) {
     ++num_handoffs_;
     trace_emit(trace_rec_, TraceEventKind::kRequestRetry, events_.now(),
                replica_id, rec.id, rec.num_handoffs, 0, 2);
-    if (pool_mode() && pool_of(replica_id).role == PoolRole::kDecode &&
+    if (pool_of(replica_id).role == PoolRole::kDecode &&
         request->prefill_complete()) {
       trace_emit(trace_rec_, TraceEventKind::kMigrateStart, events_.now(),
                  replica_id, rec.id, request->kv_context);
@@ -502,39 +392,6 @@ void Simulator::setup_observability() {
   }
   if (cluster_) cluster_->set_obs(trace_rec_, registry_);
 
-  // Exact per-pool attribution: each pool's batches accumulate against its
-  // own SKU rates. Pool deployments carry their layout; a homogeneous
-  // elastic fleet is the single-pool case (its scaling report has one pool
-  // entry). Plain static fleets have no pool breakout to fill.
-  if (pool_mode()) {
-    std::vector<PoolResources> resources;
-    for (const PoolSpec& pool : config_.pools) {
-      const SkuSpec sku = sku_by_name(pool.sku_name);
-      PoolResources p;
-      p.name = pool.name;
-      p.gpus_per_replica = pool.gpus_per_replica();
-      p.peak_flops_per_gpu = sku.peak_flops();
-      p.hbm_bytes_per_sec_per_gpu = sku.hbm_bytes_per_sec();
-      p.idle_watts_per_gpu = sku.idle_watts;
-      p.peak_watts_per_gpu = sku.peak_watts;
-      resources.push_back(std::move(p));
-    }
-    metrics_.set_pools(std::move(resources), pool_of_slot_);
-  } else if (cluster_) {
-    PoolResources p;
-    p.name = config_.node.sku.name;
-    p.gpus_per_replica = config_.parallel.gpus_per_replica();
-    p.peak_flops_per_gpu = config_.node.sku.peak_flops();
-    p.hbm_bytes_per_sec_per_gpu = config_.node.sku.hbm_bytes_per_sec();
-    p.idle_watts_per_gpu = config_.node.sku.idle_watts;
-    p.peak_watts_per_gpu = config_.node.sku.peak_watts;
-    std::vector<PoolResources> resources;
-    resources.push_back(std::move(p));
-    metrics_.set_pools(
-        std::move(resources),
-        std::vector<int>(static_cast<std::size_t>(num_slots_), 0));
-  }
-
   // The tenant -> SLO map serves both the rolling windows and the
   // resilience SLO-attainment split, so it is built unconditionally.
   {
@@ -561,14 +418,19 @@ void Simulator::setup_observability() {
           static_cast<int>(names.size());
       names.push_back("tenant:" + t.name);
     }
-    if (pool_mode()) {
-      pool_track_base_ = static_cast<int>(names.size());
-      for (const PoolSpec& pool : config_.pools)
-        names.push_back("pool:" + pool.name);
-    }
+    pool_track_base_ = static_cast<int>(names.size());
+    for (const PoolSpec& pool : config_.pools)
+      names.push_back("pool:" + pool.name);
     rolling_ = std::make_unique<RollingCollector>(config_.obs.rolling_window_s,
                                                   std::move(names));
   }
+}
+
+const SloSpec* Simulator::tenant_slo(TenantId tenant) const {
+  if (tenant < 0 ||
+      static_cast<std::size_t>(tenant) >= tenant_slo_by_id_.size())
+    return nullptr;
+  return tenant_slo_by_id_[static_cast<std::size_t>(tenant)];
 }
 
 int Simulator::tenant_track(TenantId tenant) const {
@@ -586,7 +448,7 @@ void Simulator::rolling_request_delta(const RequestState& request, int delta) {
 }
 
 void Simulator::rolling_pool_delta(ReplicaId replica_id, int delta) {
-  if (!rolling_ || pool_track_base_ < 0) return;
+  if (!rolling_) return;
   const int pool = pool_of_slot_[static_cast<std::size_t>(replica_id)];
   rolling_->on_queue_delta(pool_track_base_ + pool, events_.now(), delta);
 }
@@ -597,31 +459,17 @@ void Simulator::rolling_completions(
   const Seconds now = events_.now();
   for (const RequestState* r : finished) {
     const RequestRecord& rec = r->record;
-    Seconds worst_tbt = -1.0;  // < 0: fewer than two decode tokens
-    for (std::size_t i = 1; i < rec.token_times.size(); ++i)
-      worst_tbt =
-          std::max(worst_tbt, rec.token_times[i] - rec.token_times[i - 1]);
-    const SloSpec* slo =
-        rec.tenant >= 0 &&
-                static_cast<std::size_t>(rec.tenant) < tenant_slo_by_id_.size()
-            ? tenant_slo_by_id_[static_cast<std::size_t>(rec.tenant)]
-            : nullptr;
-    int slo_state = -1;
-    if (slo != nullptr && slo->enabled()) {
-      bool met = true;
-      if (slo->ttft_target > 0 && rec.ttft() > slo->ttft_target) met = false;
-      if (slo->tbt_target > 0 && worst_tbt > slo->tbt_target) met = false;
-      slo_state = met ? 1 : 0;
-    }
+    const Seconds worst_tbt = rec.worst_tbt();
+    const SloSpec* slo = tenant_slo(rec.tenant);
+    const int slo_state =
+        slo != nullptr && slo->enabled() ? (meets_slo(rec, *slo) ? 1 : 0) : -1;
     rolling_->on_completion(0, now, rec.ttft(), worst_tbt, slo_state);
     const int track = tenant_track(rec.tenant);
     if (track >= 0)
       rolling_->on_completion(track, now, rec.ttft(), worst_tbt, slo_state);
-    if (pool_track_base_ >= 0) {
-      const int pool = pool_of_slot_[static_cast<std::size_t>(replica_id)];
-      rolling_->on_completion(pool_track_base_ + pool, now, rec.ttft(),
-                              worst_tbt, slo_state);
-    }
+    const int pool = pool_of_slot_[static_cast<std::size_t>(replica_id)];
+    rolling_->on_completion(pool_track_base_ + pool, now, rec.ttft(),
+                            worst_tbt, slo_state);
     rolling_request_delta(*r, -1);
     rolling_pool_delta(replica_id, -1);
   }
@@ -646,8 +494,7 @@ SimulationMetrics Simulator::run() {
   // order exactly.
   preroute_ = config_.global_scheduler == GlobalSchedulerKind::kRoundRobin &&
               cluster_ == nullptr && rolling_ == nullptr &&
-              !config_.disagg.enabled() &&
-              !(pool_mode() && pools_disaggregated(config_.pools)) &&
+              !pools_disaggregated(config_.pools) &&
               !config_.collect_operator_metrics && num_slots_ > 0;
   if (preroute_) {
     shards_.resize(static_cast<std::size_t>(num_slots_));
@@ -741,16 +588,10 @@ SimulationMetrics Simulator::run() {
                                ? last_batch_end_
                                : horizon;
   // The scaling report feeds finalize() so idle energy is billed on the
-  // fleet's actual paid GPU-time, not the static slot ceiling. Pool
-  // deployments carry their per-slot rates in the manager (or the static
-  // pool report); homogeneous fleets bill at the single SKU's rate.
+  // fleet's actual paid GPU-time, not the static slot ceiling.
   const ClusterScalingReport report =
       cluster_ ? cluster_->report(end_time)
-      : pool_mode()
-          ? static_pools_report(config_.pools, end_time)
-          : static_fleet_report(config_.parallel.num_replicas, end_time,
-                                config_.parallel.gpus_per_replica(),
-                                config_.node.sku.cost_per_hour);
+               : static_pools_report(config_.pools, end_time);
   // Final registry state: per-request latency histograms plus engine-level
   // gauges, then the snapshot travels with the metrics.
   LatencyHistogram* ttft_hist = registry_->histogram("request.ttft_s");
@@ -761,10 +602,7 @@ SimulationMetrics Simulator::run() {
     if (!rec.completed()) continue;
     ttft_hist->record(rec.ttft());
     e2e_hist->record(rec.e2e_latency());
-    Seconds worst_tbt = -1.0;
-    for (std::size_t i = 1; i < rec.token_times.size(); ++i)
-      worst_tbt =
-          std::max(worst_tbt, rec.token_times[i] - rec.token_times[i - 1]);
+    const Seconds worst_tbt = rec.worst_tbt();
     if (worst_tbt >= 0) tbt_hist->record(worst_tbt);
   }
   registry_->counter("sim.events")->value = num_events;
@@ -969,19 +807,10 @@ const std::vector<bool>& Simulator::arrival_mask() const {
 }
 
 void Simulator::route_request(RequestState* request) {
-  static const std::vector<bool> kEveryReplica;  // empty mask = all routable
-  // Pool deployments route over every slot with a role-and-activity mask;
-  // the legacy forms shrink the routing domain (disaggregation) or mask on
-  // elastic activity alone.
-  const int routable = pool_mode() ? num_slots_
-                       : config_.disagg.enabled()
-                           ? config_.disagg.num_prefill_replicas
-                           : config_.parallel.num_replicas;
-  const std::vector<bool>& mask =
-      pool_mode() ? arrival_mask()
-                  : (cluster_ ? cluster_->routable_mask() : kEveryReplica);
+  // Routing spans every slot under a role-and-activity mask: decode slots
+  // take only hand-offs, inactive elastic slots nothing.
   const ReplicaId target =
-      global_.route(request, outstanding_counts(routable), mask);
+      global_.route(request, outstanding_counts(num_slots_), arrival_mask());
   trace_emit(trace_rec_, TraceEventKind::kRouted, events_.now(), target,
        request->record.id);
   if (target >= 0) {
@@ -992,7 +821,7 @@ void Simulator::route_request(RequestState* request) {
     try_schedule(target);
   } else {
     // Deferred binding: every routable replica with room may pull it.
-    for (ReplicaId r = 0; r < routable; ++r) try_schedule(r);
+    for (ReplicaId r = 0; r < num_slots_; ++r) try_schedule(r);
   }
 }
 
@@ -1004,7 +833,7 @@ void Simulator::reroute_waiting(ReplicaId replica_id) {
     r->replica = -1;
     ctr_reroutes_->inc();
     rolling_pool_delta(replica_id, -1);
-    if (pool_mode() && pool_of(replica_id).role == PoolRole::kDecode) {
+    if (pool_of(replica_id).role == PoolRole::kDecode) {
       // A draining decode replica's queued work is already prefilled: it
       // moves to another decode replica, paying the KV transfer again.
       trace_emit(trace_rec_, TraceEventKind::kMigrateStart, events_.now(),
@@ -1258,34 +1087,21 @@ void Simulator::on_migrated(RequestState* request) {
   const auto outstanding = [this](ReplicaId id) {
     return replicas_[static_cast<std::size_t>(id)].scheduler->outstanding();
   };
+  // Elastic decode pools: only active replicas take hand-offs (the decode
+  // floor >= 1 guarantees one exists).
   ReplicaId best = -1;
   int best_count = 0;
-  if (pool_mode()) {
-    // Elastic decode pools: only active replicas take hand-offs (the
-    // decode floor >= 1 guarantees one exists).
-    for (ReplicaId r = 0; r < num_slots_; ++r) {
-      if (pool_of(r).role != PoolRole::kDecode) continue;
-      if (cluster_ && !cluster_->is_routable(r)) continue;
-      const int count = outstanding(r);
-      if (best < 0 || count < best_count) {
-        best = r;
-        best_count = count;
-      }
-    }
-    VIDUR_CHECK_MSG(best >= 0,
-                    "no active decode replica to receive a prefilled "
-                    "request");
-  } else {
-    best = config_.disagg.num_prefill_replicas;
-    best_count = outstanding(best);
-    for (ReplicaId r = best + 1; r < config_.parallel.num_replicas; ++r) {
-      const int count = outstanding(r);
-      if (count < best_count) {
-        best = r;
-        best_count = count;
-      }
+  for (ReplicaId r = 0; r < num_slots_; ++r) {
+    if (pool_of(r).role != PoolRole::kDecode) continue;
+    if (cluster_ && !cluster_->is_routable(r)) continue;
+    const int count = outstanding(r);
+    if (best < 0 || count < best_count) {
+      best = r;
+      best_count = count;
     }
   }
+  VIDUR_CHECK_MSG(best >= 0,
+                  "no active decode replica to receive a prefilled request");
   request->replica = best;
   request->queue_entry_time = events_.now();
   // Next batch membership on the decode replica emits a resume record, so
@@ -1309,12 +1125,9 @@ Seconds Simulator::kv_transfer_time(const RequestState& request) const {
 void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
   out.enabled = true;
   std::map<TenantId, PrefixCacheMetrics::Slice> by_tenant;
-  std::vector<PrefixCacheMetrics::Slice> by_pool;
-  if (pool_mode()) {
-    by_pool.resize(config_.pools.size());
-    for (std::size_t p = 0; p < config_.pools.size(); ++p)
-      by_pool[p].name = config_.pools[p].name;
-  }
+  std::vector<PrefixCacheMetrics::Slice> by_pool(config_.pools.size());
+  for (std::size_t p = 0; p < config_.pools.size(); ++p)
+    by_pool[p].name = config_.pools[p].name;
   for (ReplicaId r = 0; r < num_slots_; ++r) {
     const PrefixCache* cache = replicas_[static_cast<std::size_t>(r)].cache.get();
     if (cache == nullptr) continue;
@@ -1328,10 +1141,9 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
     out.resident_sessions += cache->resident_sessions();
     // Replica-wide KV bytes the hit prefills did not recompute, at the
     // slot's own memory plan (heterogeneous pools differ per slot).
-    const MemoryPlan& plan =
-        pool_mode() ? pool_plans_[static_cast<std::size_t>(
-                          pool_of_slot_[static_cast<std::size_t>(r)])]
-                    : memory_plan_;
+    const auto pool = static_cast<std::size_t>(
+        pool_of_slot_[static_cast<std::size_t>(r)]);
+    const MemoryPlan& plan = pool_plans_[pool];
     out.bytes_saved += static_cast<double>(s.tokens_saved) *
                        static_cast<double>(plan.kv_bytes_per_token_per_gpu) *
                        static_cast<double>(parallel_of(r).gpus_per_replica());
@@ -1342,15 +1154,11 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
       slice.misses += static_cast<std::int64_t>(ts.misses);
       slice.tokens_saved += ts.tokens_saved;
     }
-    if (pool_mode()) {
-      PrefixCacheMetrics::Slice& slice =
-          by_pool[static_cast<std::size_t>(
-              pool_of_slot_[static_cast<std::size_t>(r)])];
-      slice.lookups += static_cast<std::int64_t>(s.lookups);
-      slice.hits += static_cast<std::int64_t>(s.hits);
-      slice.misses += static_cast<std::int64_t>(s.misses);
-      slice.tokens_saved += s.tokens_saved;
-    }
+    PrefixCacheMetrics::Slice& slice = by_pool[pool];
+    slice.lookups += static_cast<std::int64_t>(s.lookups);
+    slice.hits += static_cast<std::int64_t>(s.hits);
+    slice.misses += static_cast<std::int64_t>(s.misses);
+    slice.tokens_saved += s.tokens_saved;
   }
   for (auto& [tenant, slice] : by_tenant) {
     slice.name = "tenant-" + std::to_string(tenant);
@@ -1397,24 +1205,11 @@ void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
                impacted_met = 0;
   for (const RequestState& state : states_) {
     const RequestRecord& rec = state.record;
-    const SloSpec* slo =
-        rec.tenant >= 0 &&
-                static_cast<std::size_t>(rec.tenant) < tenant_slo_by_id_.size()
-            ? tenant_slo_by_id_[static_cast<std::size_t>(rec.tenant)]
-            : nullptr;
+    const SloSpec* slo = tenant_slo(rec.tenant);
     if (slo == nullptr || !slo->enabled()) continue;
-    bool met = false;
-    if (rec.completed()) {
-      met = true;
-      Seconds worst_tbt = -1.0;
-      for (std::size_t i = 1; i < rec.token_times.size(); ++i)
-        worst_tbt =
-            std::max(worst_tbt, rec.token_times[i] - rec.token_times[i - 1]);
-      if (slo->ttft_target > 0 && rec.ttft() > slo->ttft_target) met = false;
-      if (slo->tbt_target > 0 && worst_tbt > slo->tbt_target) met = false;
-    } else if (!rec.shed && !rec.lost) {
-      continue;  // never finished for another reason (max_sim_time cutoff)
-    }
+    // Never finished for another reason (max_sim_time cutoff): no verdict.
+    if (!rec.completed() && !rec.shed && !rec.lost) continue;
+    const bool met = meets_slo(rec, *slo);
     if (rec.fault_impacted()) {
       ++impacted_total;
       impacted_met += met ? 1 : 0;

@@ -52,8 +52,15 @@ struct SimObs {
   Seconds rolling_window_s = 0.0;
 };
 
+/// A simulated deployment. Every form runs as pools: the constructor lowers
+/// the homogeneous fields (`node.sku`, `parallel`, the legacy prefill/decode
+/// split in `disagg` and the top-level `autoscale`) into `pools` with
+/// lower_to_pools(), so they must stay at their defaults when `pools` is
+/// written.
 struct SimulationConfig {
   ModelSpec model;
+  /// Node topology of every replica; each pool supplies its own SKU (the
+  /// node's SKU only names the homogeneous form's).
   NodeSpec node;
   ParallelConfig parallel;
   SchedulerConfig scheduler;
@@ -69,30 +76,23 @@ struct SimulationConfig {
   /// pipeline scheduling). The send still delays the downstream stage; it
   /// just no longer occupies the upstream one. No effect when PP = 1.
   bool async_pipeline_comm = false;
-  /// Prefill/decode disaggregation; when enabled, `scheduler.kind` is
-  /// ignored (each role runs its dedicated policy) and
-  /// parallel.num_replicas counts both roles together.
+  /// Prefill/decode disaggregation: the transfer_* fields parameterize the
+  /// KV hand-off between prefill and decode pools; the replica split is the
+  /// homogeneous form's legacy spelling of those pools. Each role runs its
+  /// dedicated policy (`scheduler.kind` is ignored).
   DisaggConfig disagg;
   /// Tenant identities for per-tenant metric attribution (scenario engine).
   /// Empty for single-tenant runs.
   std::vector<TenantInfo> tenants;
-  /// Elastic cluster: when enabled, `parallel.num_replicas` becomes the
-  /// fleet's slot count (the scale-up ceiling) and a ClusterManager drives
-  /// replica lifecycles from the configured autoscaling policy. Only
-  /// kActive replicas receive new requests; draining replicas finish their
-  /// outstanding work before their slot is released. Not combinable with
-  /// disaggregated serving (the legacy `disagg` form; pool deployments
-  /// autoscale disaggregated roles independently).
+  /// Elastic homogeneous fleet: `parallel.num_replicas` is the slot count
+  /// (the scale-up ceiling) and a ClusterManager drives replica lifecycles.
+  /// Only kActive replicas receive new requests; draining replicas finish
+  /// their outstanding work before their slot is released. Not combinable
+  /// with the legacy split (pool deployments autoscale roles independently).
   AutoscalerConfig autoscale;
-  /// Heterogeneous pool deployment: replica slots are laid out pool by
-  /// pool, each pool with its own SKU, parallelism, role and (optional)
-  /// autoscaling policy. When non-empty, `node`, `parallel`, `disagg.
-  /// num_prefill_replicas` and `autoscale` above are ignored and must stay
-  /// disabled (disagg transfer_* fields still parameterize KV hand-off).
-  /// Fleet-average MFU/MBU/energy use slot-weighted SKU aggregates — exact
-  /// for homogeneous pools, an approximation for mixed ones; the per-pool
-  /// breakout in the scaling report carries exact attribution from each
-  /// pool's own batch records (and GPU-hours/cost are always exact).
+  /// Pool deployment: replica slots are laid out pool by pool, each pool
+  /// with its own SKU, parallelism, role and (optional) autoscaling policy.
+  /// MFU/MBU/energy are exact per pool and for the fleet.
   std::vector<PoolSpec> pools;
   /// Per-replica prefix cache (KV reuse across sessions and shared system
   /// prompts). Each replica gets its own cache sized to capacity_fraction
@@ -111,8 +111,8 @@ struct SimulationConfig {
   /// migration); the per-shard streams merge deterministically at every
   /// window boundary, so the result is bit-identical at every thread
   /// count. Must be 1 for configurations whose cross-shard events have
-  /// zero lookahead or whose collection is not thread-safe (legacy
-  /// disaggregation, role-disaggregated pools, operator metrics).
+  /// zero lookahead or whose collection is not thread-safe (disaggregated
+  /// serving, operator metrics).
   int threads = 1;
   /// Observability: trace recorder, shared registry, rolling windows.
   SimObs obs;
@@ -133,10 +133,9 @@ class Simulator {
   SimulationMetrics run();
 
   const std::vector<RequestState>& request_states() const { return states_; }
-  const MemoryPlan& memory_plan() const { return memory_plan_; }
   /// The elastic-fleet manager, or nullptr for fixed-fleet runs.
   const ClusterManager* cluster() const { return cluster_.get(); }
-  /// Fleet slot count (fixed fleets: the configured replica count).
+  /// Fleet slot count (all pools).
   int num_slots() const { return num_slots_; }
   /// One slot's prefix-cache pool, or nullptr when caching is off.
   const PrefixCache* prefix_cache(ReplicaId r) const {
@@ -257,21 +256,18 @@ class Simulator {
   /// sequence numbers and applies the deferred aggregation.
   void merge_round();
 
-  // ---- heterogeneous pools ----
-  bool pool_mode() const { return !config_.pools.empty(); }
-  /// Pool owning a slot (pool mode only).
+  // ---- pools ----
+  /// Pool owning a slot.
   const PoolSpec& pool_of(ReplicaId r) const {
     return config_.pools[static_cast<std::size_t>(
         pool_of_slot_[static_cast<std::size_t>(r)])];
   }
-  /// The replica's parallelism: its pool's, or the global config's.
   const ParallelConfig& parallel_of(ReplicaId r) const {
-    return pool_mode() ? pool_of(r).parallel : config_.parallel;
+    return pool_of(r).parallel;
   }
   /// May this slot receive arrivals (role-wise; elastic activity aside)?
   bool arrival_eligible(ReplicaId r) const {
-    if (pool_mode()) return pool_of(r).role != PoolRole::kDecode;
-    return !config_.disagg.enabled() || is_prefill_replica(r);
+    return pool_of(r).role != PoolRole::kDecode;
   }
   /// Role-aware arrival mask: arrival-eligible AND (if elastic) active.
   /// Returns a member scratch buffer, rebuilt per call.
@@ -279,8 +275,7 @@ class Simulator {
 
   // ---- disaggregated serving ----
   bool is_prefill_replica(ReplicaId r) const {
-    if (pool_mode()) return pool_of(r).role == PoolRole::kPrefill;
-    return config_.disagg.enabled() && r < config_.disagg.num_prefill_replicas;
+    return pool_of(r).role == PoolRole::kPrefill;
   }
   /// Hand prefilled requests of a completed batch to decode replicas.
   void migrate_prefilled(ReplicaId replica_id, const BatchSpec& batch);
@@ -316,6 +311,8 @@ class Simulator {
   /// Wire the registry/trace/rolling attachments; called once from the
   /// constructor after replicas and cluster manager exist.
   void setup_observability();
+  /// SLO of a tenant, or nullptr when it carries none.
+  const SloSpec* tenant_slo(TenantId tenant) const;
   /// Rolling track of a tenant, or -1 when rolling is off / unmapped.
   int tenant_track(TenantId tenant) const;
   /// In-system depth change of the cluster + tenant tracks.
@@ -329,15 +326,15 @@ class Simulator {
   /// per-tenant and per-pool slices) and mirror them into the registry.
   void aggregate_prefix_cache(PrefixCacheMetrics& out) const;
 
+  /// Lowered: `pools` describes every slot (the homogeneous fields are
+  /// never read).
   SimulationConfig config_;
   Trace trace_;
-  int num_slots_ = 0;  ///< total replica slots (all pools, or num_replicas)
+  std::vector<int> pool_of_slot_;  ///< slot -> pool index
+  int num_slots_ = 0;              ///< total replica slots (all pools)
   EventQueue events_;
   GlobalScheduler global_;
-  MemoryPlan memory_plan_;
-  /// Pool mode: per-pool memory plans and the slot -> pool index map.
-  std::vector<MemoryPlan> pool_plans_;
-  std::vector<int> pool_of_slot_;
+  std::vector<MemoryPlan> pool_plans_;  ///< per pool
   mutable std::vector<bool> arrival_mask_scratch_;
   std::vector<Replica> replicas_;
   std::vector<RequestState> states_;
@@ -383,8 +380,8 @@ class Simulator {
   /// non-disaggregated fleet without rolling windows or operator
   /// metrics): targets are then known up front, arrivals seed per-replica
   /// shard queues, and the stretches between central events run sharded.
-  /// Otherwise every arrival stays a central event and the run degenerates
-  /// to the legacy single-queue order exactly.
+  /// Otherwise every arrival stays a central event and the run is the
+  /// single-queue order exactly.
   bool preroute_ = false;
   std::vector<SimShard> shards_;  ///< one per slot when preroute_, else empty
   /// Per-shard local -> global batch sequence map (grown at merge time).
@@ -394,13 +391,13 @@ class Simulator {
   std::vector<std::size_t> merge_done_cur_;  ///< merge cursors: done ops
   std::unique_ptr<SpinTeam> team_;  ///< threads > 1 and > 1 shard only
   /// The running thread's shard during a window round, null in central
-  /// context (and always on the legacy path).
+  /// context (and always on the unsharded path).
   static thread_local SimShard* tls_shard_;
 
   /// Rolling-track layout: 0 = cluster, then tenants, then pools.
   std::vector<int> tenant_track_by_id_;  ///< tenant id -> track (-1: none)
   std::vector<const SloSpec*> tenant_slo_by_id_;  ///< nullptr: no SLO
-  int pool_track_base_ = -1;  ///< first pool track, -1 when absent
+  int pool_track_base_ = -1;  ///< first pool track (rolling on)
 };
 
 }  // namespace vidur

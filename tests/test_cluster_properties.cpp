@@ -209,19 +209,7 @@ struct PoolHarness {
     hooks.on_activated = [](ReplicaId) {};
     hooks.on_draining = [this](ReplicaId r) { load[r] = 0; };
     hooks.replica_kv_utilization = [this](ReplicaId r) { return kv[r]; };
-    std::vector<ClusterManager::ManagedPool> managed;
-    for (const PoolSpec& pool : pools) {
-      ClusterManager::ManagedPool m;
-      m.name = pool.name;
-      m.sku = pool.sku_name;
-      m.role = pool.role;
-      m.slots = pool.slots();
-      m.autoscale = pool.autoscale;
-      m.gpus_per_replica = pool.gpus_per_replica();
-      m.cost_per_gpu_hour = pool.effective_cost_per_gpu_hour();
-      managed.push_back(std::move(m));
-    }
-    manager = std::make_unique<ClusterManager>(std::move(managed), &events,
+    manager = std::make_unique<ClusterManager>(pools, &events,
                                                std::move(hooks));
     manager->start();
   }

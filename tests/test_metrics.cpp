@@ -176,13 +176,20 @@ TEST(MetricsCollectorMbu, ZeroBandwidthDisablesMbu) {
 
 // ------------------------------------------------------------------ energy
 
-ClusterResources one_gpu_cluster() {
-  return ClusterResources{.num_replicas = 1,
-                          .gpus_per_replica = 1,
-                          .peak_flops_per_gpu = 1e12,
-                          .hbm_bytes_per_sec_per_gpu = 1e12,
-                          .idle_watts_per_gpu = 100.0,
-                          .peak_watts_per_gpu = 500.0};
+PoolResources one_gpu_pool() {
+  return PoolResources{.name = "fleet",
+                       .gpus_per_replica = 1,
+                       .peak_flops_per_gpu = 1e12,
+                       .hbm_bytes_per_sec_per_gpu = 1e12,
+                       .idle_watts_per_gpu = 100.0,
+                       .peak_watts_per_gpu = 500.0};
+}
+
+/// A collector over `slots` replicas of `pool`.
+MetricsCollector one_pool_collector(const PoolResources& pool = one_gpu_pool(),
+                                    int slots = 1) {
+  return MetricsCollector({pool},
+                          std::vector<int>(static_cast<std::size_t>(slots), 0));
 }
 
 RequestRecord one_token_request() {
@@ -193,7 +200,7 @@ RequestRecord one_token_request() {
 }
 
 TEST(MetricsEnergy, FullyUtilizedBatchDrawsPeakPower) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   BatchRecord batch;
   batch.start_time = 0.0;
   batch.end_time = 2.0;
@@ -206,7 +213,7 @@ TEST(MetricsEnergy, FullyUtilizedBatchDrawsPeakPower) {
 }
 
 TEST(MetricsEnergy, IdleClusterDrawsIdlePower) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   collector.record_request(one_token_request());
   const SimulationMetrics m = collector.finalize(10.0);
   EXPECT_NEAR(m.total_energy_joules, 10.0 * 100.0, 1e-6);
@@ -214,7 +221,7 @@ TEST(MetricsEnergy, IdleClusterDrawsIdlePower) {
 }
 
 TEST(MetricsEnergy, HalfUtilizedBatchInterpolatesLinearly) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   BatchRecord batch;
   batch.start_time = 0.0;
   batch.end_time = 1.0;
@@ -228,7 +235,7 @@ TEST(MetricsEnergy, HalfUtilizedBatchInterpolatesLinearly) {
 TEST(MetricsEnergy, IntensityUsesDominantRooflineAxis) {
   // A memory-bound batch: low FLOP utilization but saturated bandwidth must
   // be billed as fully utilized (decode iterations look exactly like this).
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   BatchRecord batch;
   batch.start_time = 0.0;
   batch.end_time = 1.0;
@@ -243,9 +250,7 @@ TEST(MetricsEnergy, AutoscaledFleetBillsIdleWattsFromScalingTimeline) {
   // 4-slot elastic fleet that averaged one active replica over a 10s run:
   // idle watts follow the paid replica-hours in the scaling report, not
   // the static slot ceiling.
-  ClusterResources cluster = one_gpu_cluster();
-  cluster.num_replicas = 4;
-  MetricsCollector collector(cluster);
+  MetricsCollector collector = one_pool_collector(one_gpu_pool(), 4);
   collector.record_request(one_token_request());
 
   ClusterScalingReport scaling;
@@ -267,7 +272,7 @@ TEST(MetricsEnergy, AutoscaledFleetBillsIdleWattsFromScalingTimeline) {
 
 TEST(MetricsEnergy, BusyEnergyStillAccruesUnderAScalingReport) {
   // A fully-utilized 2s batch plus 8 paid-but-idle GPU-seconds.
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   BatchRecord batch;
   batch.start_time = 0.0;
   batch.end_time = 2.0;
@@ -284,7 +289,7 @@ TEST(MetricsEnergy, BusyEnergyStillAccruesUnderAScalingReport) {
 }
 
 TEST(MetricsEnergy, EnergyPerTokenDividesByOutputTokens) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   RequestRecord r = sample_record();  // 10 decode tokens
   collector.record_request(r);
   const SimulationMetrics m = collector.finalize(1.0);
@@ -303,15 +308,15 @@ TEST(MetricsEnergy, DisabledWithoutPowerModel) {
 }
 
 TEST(MetricsEnergy, InvalidPowerModelThrows) {
-  ClusterResources cluster = one_gpu_cluster();
-  cluster.peak_watts_per_gpu = 50.0;  // below idle
-  EXPECT_THROW(MetricsCollector{cluster}, Error);
+  PoolResources pool = one_gpu_pool();
+  pool.peak_watts_per_gpu = 50.0;  // below idle
+  EXPECT_THROW(one_pool_collector(pool), Error);
 }
 
 // --------------------------------------------------------------- operators
 
 TEST(MetricsOperators, AccumulatesAcrossStages) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   collector.record_operators(
       {{OpType::kAttnDecode, 0.002}, {OpType::kMlpDownProj, 0.001}});
   collector.record_operators({{OpType::kAttnDecode, 0.003}});
@@ -324,7 +329,7 @@ TEST(MetricsOperators, AccumulatesAcrossStages) {
 }
 
 TEST(MetricsOperators, TableSortsHeaviestFirst) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   collector.record_operators(
       {{OpType::kRmsNorm, 0.001}, {OpType::kMlpGateUpProj, 0.010}});
   const std::string table = collector.finalize(1.0).operator_table();
@@ -336,14 +341,14 @@ TEST(MetricsOperators, TableSortsHeaviestFirst) {
 }
 
 TEST(MetricsOperators, EmptyTableWhenNotCollected) {
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   EXPECT_TRUE(collector.finalize(1.0).operator_table().empty());
 }
 
 TEST(MetricsCollector, ZeroMakespanProducesNoRates) {
   // finalize(0) must not divide by zero: all rate/utilization metrics stay
   // at their zero defaults.
-  MetricsCollector collector(one_gpu_cluster());
+  MetricsCollector collector = one_pool_collector();
   collector.record_request(one_token_request());
   const SimulationMetrics m = collector.finalize(0.0);
   EXPECT_DOUBLE_EQ(m.throughput_qps, 0.0);

@@ -350,15 +350,6 @@ TEST(RollingCollector, SimulationFillsClusterTrack) {
 TEST(PoolAttribution, TwoPoolRunMatchesHandComputedValues) {
   // Scripted run: two pools with different SKU rates, one batch each, all
   // numbers chosen so MFU/MBU/energy are exact by hand.
-  ClusterResources cluster;
-  cluster.num_replicas = 2;
-  cluster.gpus_per_replica = 1;
-  cluster.peak_flops_per_gpu = 100.0;
-  cluster.hbm_bytes_per_sec_per_gpu = 50.0;
-  cluster.idle_watts_per_gpu = 10.0;
-  cluster.peak_watts_per_gpu = 110.0;
-  MetricsCollector collector(cluster);
-
   PoolResources fast;  // slot 0
   fast.name = "fast";
   fast.gpus_per_replica = 1;
@@ -373,7 +364,7 @@ TEST(PoolAttribution, TwoPoolRunMatchesHandComputedValues) {
   slow.hbm_bytes_per_sec_per_gpu = 100.0;
   slow.idle_watts_per_gpu = 20.0;
   slow.peak_watts_per_gpu = 120.0;
-  collector.set_pools({fast, slow}, {0, 1});
+  MetricsCollector collector({fast, slow}, {0, 1});
 
   BatchRecord b0;  // 4 s on the fast pool at 50% FLOP / 25% BW intensity
   b0.replica = 0;
@@ -429,9 +420,66 @@ TEST(PoolAttribution, TwoPoolRunMatchesHandComputedValues) {
   EXPECT_DOUBLE_EQ(s.busy_fraction, 0.2);
   EXPECT_DOUBLE_EQ(s.energy_joules, 400.0);
 
-  // The pools' exact numbers differ from what slot-weighted fleet averages
-  // would claim for the slow pool (its own peak is half the fleet mean).
+  // The fleet sums the pools' capacities: 300 flops / (10 s * 150 flop/s)
+  // = 0.2; 150 B / (10 s * (50 + 100) B/s) = 0.1; energy is the pools'
+  // 300 + 400 J (no idle clamp applies).
   EXPECT_DOUBLE_EQ(m.busy_fraction, 6.0 / 20.0);
+  EXPECT_DOUBLE_EQ(m.mfu, 0.2);
+  EXPECT_DOUBLE_EQ(m.mbu, 0.1);
+  EXPECT_DOUBLE_EQ(m.total_energy_joules, 700.0);
+}
+
+TEST(PoolAttribution, TwoGpuReplicasMatchHandComputedFleetValues) {
+  // One pool of two 2-GPU replicas (TP2): HBM bytes are recorded per GPU
+  // and a replica's GPUs move them in parallel, so fleet MBU divides by
+  // per-GPU bandwidth; a batch's energy is billed on all its GPUs.
+  PoolResources tp2;
+  tp2.name = "tp2";
+  tp2.gpus_per_replica = 2;
+  tp2.peak_flops_per_gpu = 100.0;
+  tp2.hbm_bytes_per_sec_per_gpu = 50.0;
+  tp2.idle_watts_per_gpu = 10.0;
+  tp2.peak_watts_per_gpu = 110.0;
+  MetricsCollector collector({tp2}, {0, 0});
+
+  BatchRecord b0;  // 4 s at 50% FLOP / 25% BW intensity
+  b0.replica = 0;
+  b0.end_time = 4.0;
+  b0.flops = 400.0;
+  b0.hbm_bytes_per_gpu = 50;
+  b0.batch_size = 1;
+  collector.record_batch(b0);
+  BatchRecord b1;  // 2 s at 100% FLOP / 100% BW intensity
+  b1.replica = 1;
+  b1.end_time = 2.0;
+  b1.flops = 400.0;
+  b1.hbm_bytes_per_gpu = 100;
+  b1.batch_size = 1;
+  collector.record_batch(b1);
+
+  ClusterScalingReport scaling = static_fleet_report(2, 10.0, 2, 0.0);
+  PoolScalingReport pool;
+  pool.name = "tp2";
+  pool.slots = 2;
+  pool.gpus_per_replica = 2;
+  pool.replica_hours = scaling.replica_hours;
+  pool.gpu_hours = scaling.gpu_hours;
+  scaling.pools.push_back(pool);
+  const SimulationMetrics m = collector.finalize(10.0, scaling);
+
+  // MFU: 800 flops / (10 s * 4 GPUs * 100 flop/s) = 0.2. MBU: 150 B /
+  // (10 s * 2 replicas * 50 B/s) = 0.15. Busy 6 / 20 replica-seconds.
+  // Energy: 4 s * 2 GPUs * (10 + 100 * 0.5) W = 480 J, plus 2 s * 2 GPUs
+  // * 110 W = 440 J, plus (40 - 12) idle GPU-seconds * 10 W = 280 J.
+  EXPECT_DOUBLE_EQ(m.mfu, 0.2);
+  EXPECT_DOUBLE_EQ(m.mbu, 0.15);
+  EXPECT_DOUBLE_EQ(m.busy_fraction, 0.3);
+  EXPECT_DOUBLE_EQ(m.total_energy_joules, 1200.0);
+  // The pool breakout carries the same numbers.
+  ASSERT_EQ(m.scaling.pools.size(), 1u);
+  EXPECT_DOUBLE_EQ(m.scaling.pools[0].mfu, 0.2);
+  EXPECT_DOUBLE_EQ(m.scaling.pools[0].mbu, 0.15);
+  EXPECT_DOUBLE_EQ(m.scaling.pools[0].energy_joules, 1200.0);
 }
 
 // ------------------------------------------------- ObsSpec round-trips
