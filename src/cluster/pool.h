@@ -125,8 +125,7 @@ ClusterScalingReport static_pools_report(const std::vector<PoolSpec>& pools,
 ///     "fleet" of `parallel.num_replicas` slots carrying `autoscale`.
 ///   - The legacy split (`disagg.num_prefill_replicas` > 0) becomes a
 ///     "prefill" pool of that many slots followed by a "decode" pool of the
-///     rest. Only the split is lowered; the transfer_* fields keep
-///     parameterizing the KV hand-off.
+///     rest; the transfer_* fields keep parameterizing the KV hand-off.
 ///     Prefill slots come first, so round-robin over the role-masked slot
 ///     space visits replicas in the order a prefill-only domain would.
 ///

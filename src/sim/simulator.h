@@ -380,8 +380,8 @@ class Simulator {
   /// non-disaggregated fleet without rolling windows or operator
   /// metrics): targets are then known up front, arrivals seed per-replica
   /// shard queues, and the stretches between central events run sharded.
-  /// Otherwise every arrival stays a central event and the run is the
-  /// single-queue order exactly.
+  /// Otherwise every arrival stays a central event and the run degenerates
+  /// to the legacy single-queue order exactly.
   bool preroute_ = false;
   std::vector<SimShard> shards_;  ///< one per slot when preroute_, else empty
   /// Per-shard local -> global batch sequence map (grown at merge time).
@@ -391,7 +391,7 @@ class Simulator {
   std::vector<std::size_t> merge_done_cur_;  ///< merge cursors: done ops
   std::unique_ptr<SpinTeam> team_;  ///< threads > 1 and > 1 shard only
   /// The running thread's shard during a window round, null in central
-  /// context (and always on the unsharded path).
+  /// context (and always on the legacy path).
   static thread_local SimShard* tls_shard_;
 
   /// Rolling-track layout: 0 = cluster, then tenants, then pools.

@@ -176,34 +176,6 @@ ExperimentSpec legacy_disagg_pools(const std::string& name,
                    pool("decode", PoolRole::kDecode, 1, 1, 3)});
 }
 
-ExperimentSpec disagg_round_robin() {
-  return legacy_disagg("disagg-round-robin", GlobalSchedulerKind::kRoundRobin);
-}
-ExperimentSpec disagg_round_robin_pools() {
-  return legacy_disagg_pools("disagg-round-robin",
-                             GlobalSchedulerKind::kRoundRobin);
-}
-ExperimentSpec disagg_least_outstanding() {
-  return legacy_disagg("disagg-least-outstanding",
-                       GlobalSchedulerKind::kLeastOutstanding);
-}
-ExperimentSpec disagg_least_outstanding_pools() {
-  return legacy_disagg_pools("disagg-least-outstanding",
-                             GlobalSchedulerKind::kLeastOutstanding);
-}
-ExperimentSpec disagg_deferred() {
-  return legacy_disagg("disagg-deferred", GlobalSchedulerKind::kDeferred);
-}
-ExperimentSpec disagg_deferred_pools() {
-  return legacy_disagg_pools("disagg-deferred", GlobalSchedulerKind::kDeferred);
-}
-ExperimentSpec disagg_priority() {
-  return legacy_disagg("disagg-priority", GlobalSchedulerKind::kPriority);
-}
-ExperimentSpec disagg_priority_pools() {
-  return legacy_disagg_pools("disagg-priority", GlobalSchedulerKind::kPriority);
-}
-
 ExperimentSpec disagg_pp2() {
   ExperimentSpec spec = base_spec("disagg-pp2-async");
   spec.with_parallelism(1, 2, 3)
@@ -228,11 +200,40 @@ struct LoweringCase {
 const LoweringCase kCases[] = {
     {"homogeneous-static", homogeneous_static, homogeneous_static_pools},
     {"homogeneous-elastic", homogeneous_elastic, homogeneous_elastic_pools},
-    {"disagg-round-robin", disagg_round_robin, disagg_round_robin_pools},
-    {"disagg-least-outstanding", disagg_least_outstanding,
-     disagg_least_outstanding_pools},
-    {"disagg-deferred", disagg_deferred, disagg_deferred_pools},
-    {"disagg-priority", disagg_priority, disagg_priority_pools},
+    {"disagg-round-robin",
+     [] {
+       return legacy_disagg("disagg-round-robin",
+                            GlobalSchedulerKind::kRoundRobin);
+     },
+     [] {
+       return legacy_disagg_pools("disagg-round-robin",
+                                  GlobalSchedulerKind::kRoundRobin);
+     }},
+    {"disagg-least-outstanding",
+     [] {
+       return legacy_disagg("disagg-least-outstanding",
+                            GlobalSchedulerKind::kLeastOutstanding);
+     },
+     [] {
+       return legacy_disagg_pools("disagg-least-outstanding",
+                                  GlobalSchedulerKind::kLeastOutstanding);
+     }},
+    {"disagg-deferred",
+     [] {
+       return legacy_disagg("disagg-deferred", GlobalSchedulerKind::kDeferred);
+     },
+     [] {
+       return legacy_disagg_pools("disagg-deferred",
+                                  GlobalSchedulerKind::kDeferred);
+     }},
+    {"disagg-priority",
+     [] {
+       return legacy_disagg("disagg-priority", GlobalSchedulerKind::kPriority);
+     },
+     [] {
+       return legacy_disagg_pools("disagg-priority",
+                                  GlobalSchedulerKind::kPriority);
+     }},
     {"disagg-pp2-async", disagg_pp2, disagg_pp2_pools},
 };
 
