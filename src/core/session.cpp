@@ -88,20 +88,17 @@ void VidurSession::prepare_pools(SimulationConfig& sim) {
   // fallback covers direct users).
   for (const PoolSpec& pool : sim.pools)
     if (pool.capacity_qps > 0) return;
-  // The manager ranks pools only inside a role group of two or more pools
-  // with at least one autoscaled; nowhere else is a capacity read.
+  // The manager compares capacities only among the autoscaled pools of one
+  // role, so a capacity is read only where a role has two or more of them.
   const auto ranked = [&sim](PoolRole role) {
-    int pools = 0;
-    bool elastic = false;
-    for (const PoolSpec& pool : sim.pools) {
-      if (pool.role != role) continue;
-      ++pools;
-      elastic |= pool.autoscale.enabled();
-    }
-    return pools >= 2 && elastic;
+    int elastic = 0;
+    for (const PoolSpec& pool : sim.pools)
+      if (pool.role == role && pool.autoscale.enabled()) ++elastic;
+    return elastic >= 2;
   };
   for (PoolSpec& pool : sim.pools)
-    if (ranked(pool.role)) pool.capacity_qps = pool_capacity_weight(pool);
+    if (pool.autoscale.enabled() && ranked(pool.role))
+      pool.capacity_qps = pool_capacity_weight(pool);
 }
 
 namespace {

@@ -85,8 +85,8 @@ class VidurSession {
   void account(const SimulationMetrics& metrics,
                const DeploymentConfig& config);
   /// Fill unset capacities of the pools the cost-aware scale-out policy
-  /// ranks by $/SLO-point (a role group of two or more pools, one of them
-  /// autoscaled) with the estimator-derived relative throughput
+  /// ranks by $/SLO-point (the autoscaled pools of a role that has two or
+  /// more of them) with the estimator-derived relative throughput
   /// (pool_capacity_weight).
   void prepare_pools(SimulationConfig& sim);
   /// Relative per-replica capacity of one pool: the reciprocal predicted

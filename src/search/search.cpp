@@ -120,18 +120,19 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
   // Phase 2 (branch and bound): visit configs in descending upper-bound
   // QPS/$ order; skip a config when even its upper bound cannot beat the
   // best SLO-compliant capacity QPS/$ already found. Exact for best().
+  std::vector<double> upper_bound(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    upper_bound[i] = offline_qps[i] / configs[i].cost_per_hour();
   std::vector<std::size_t> order(configs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return offline_qps[a] / configs[a].cost_per_hour() >
-           offline_qps[b] / configs[b].cost_per_hour();
+    return upper_bound[a] > upper_bound[b];
   });
 
   double best_qps_per_dollar = 0.0;
   for (std::size_t i : order) {
     ConfigEvaluation& eval = result.evaluations[i];
-    const double upper_bound = offline_qps[i] / configs[i].cost_per_hour();
-    if (offline_qps[i] <= 0.0 || upper_bound <= best_qps_per_dollar) {
+    if (offline_qps[i] <= 0.0 || upper_bound[i] <= best_qps_per_dollar) {
       // Pruned: record the bound so callers can see why it was skipped.
       eval.config = configs[i];
       eval.cost_per_hour = configs[i].cost_per_hour();

@@ -14,11 +14,10 @@
 //   - a one-pool TP2 fleet must report the fleet MBU and energy of its
 //     homogeneous twin (and of its own per-pool breakout).
 //
-// To re-record the fixtures (only ever from an engine whose output the
-// fixtures should pin), run the suite with VIDUR_UPDATE_FIXTURES=1.
+// The fixtures are fixed data: re-recording them from an engine that lowers
+// legacy specs would make the pin circular.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -240,16 +239,11 @@ const LoweringCase kCases[] = {
 // ------------------------------------------------------------- the pins
 
 TEST(PoolLowering, LegacySpecsReproduceTheirFixtures) {
-  const bool update = std::getenv("VIDUR_UPDATE_FIXTURES") != nullptr;
   for (const LoweringCase& c : kCases) {
     SCOPED_TRACE(c.fixture);
     const std::string stripped =
         strip_pool_breakouts(JsonValue::parse(run_to_json(c.legacy())), "")
             .dump();
-    if (update) {
-      std::ofstream(fixture_path(c.fixture)) << stripped;
-      continue;
-    }
     EXPECT_EQ(stripped, read_file(fixture_path(c.fixture)))
         << "result bytes moved beyond the declared per-pool additions";
   }
@@ -283,6 +277,24 @@ TEST(PoolLowering, OnePoolTp2FleetMatchesItsHomogeneousTwin) {
   // from makespan x slots in the last bit.
   EXPECT_DOUBLE_EQ(p.scaling.pools[0].mbu, p.mbu);
   EXPECT_DOUBLE_EQ(p.scaling.pools[0].energy_joules, p.total_energy_joules);
+}
+
+TEST(PoolLowering, HomogeneousAutoscaleErrorsNameTheFleetPool) {
+  // The homogeneous form is validated as the `fleet` pool it lowers to, so
+  // its autoscaler bounds report in the pool wording.
+  ExperimentSpec spec = homogeneous_static();
+  AutoscalerConfig autoscale = reactive_autoscale();
+  autoscale.min_replicas = 5;
+  spec.with_autoscale(autoscale);
+  try {
+    run_experiment(spec);
+    FAIL() << "expected vidur::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pool 'fleet': autoscale.min_replicas "
+                                         "(5) exceeds the pool's 3 slots"),
+              std::string::npos)
+        << "actual message: " << e.what();
+  }
 }
 
 }  // namespace
