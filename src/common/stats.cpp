@@ -1,7 +1,9 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -109,7 +111,10 @@ void SampleSeries::merge(const SampleSeries& other) {
   sorted_valid_ = false;
 }
 
-Summary Summary::of(const SampleSeries& s) {
+namespace {
+
+template <class Series>
+Summary summarize(const Series& s) {
   Summary out;
   out.count = s.count();
   if (s.empty()) return out;
@@ -123,5 +128,117 @@ Summary Summary::of(const SampleSeries& s) {
   out.max = s.max();
   return out;
 }
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Home slot of `x` in a table of `capacity` (a power of two) slots.
+std::size_t home_slot(double x, std::size_t capacity) {
+  return static_cast<std::size_t>((bits_of(x) * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - std::countr_zero(capacity)));
+}
+
+}  // namespace
+
+void LatencyDistribution::add(double x, std::size_t n) {
+  if (slots_.empty()) slots_.assign(64, Run{0.0, 0});
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home_slot(x, slots_.size());; i = (i + 1) & mask) {
+    Run& slot = slots_[i];
+    if (slot.count == 0) {
+      slot = Run{x, n};
+      if (++distinct_ * 2 > slots_.size()) grow();
+      break;
+    }
+    if (bits_of(slot.value) == bits_of(x)) {
+      slot.count += n;
+      break;
+    }
+  }
+  count_ += n;
+  sorted_valid_ = false;
+}
+
+void LatencyDistribution::grow() {
+  std::vector<Run> old(slots_.size() * 2, Run{0.0, 0});
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Run& run : old) {
+    if (run.count == 0) continue;
+    std::size_t i = home_slot(run.value, slots_.size());
+    while (slots_[i].count != 0) i = (i + 1) & mask;
+    slots_[i] = run;
+  }
+}
+
+void LatencyDistribution::merge(const LatencyDistribution& other) {
+  VIDUR_CHECK_MSG(&other != this, "a distribution cannot merge itself");
+  for (const Run& run : other.slots_)
+    if (run.count != 0) add(run.value, run.count);
+}
+
+const std::vector<LatencyDistribution::Run>& LatencyDistribution::sorted()
+    const {
+  if (!sorted_valid_) {
+    sorted_.clear();
+    sorted_.reserve(distinct_);
+    for (const Run& run : slots_)
+      if (run.count != 0) sorted_.push_back(run);
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const Run& a, const Run& b) { return a.value < b.value; });
+    sorted_valid_ = true;
+  }
+  return sorted_;
+}
+
+double LatencyDistribution::mean() const {
+  if (count_ == 0) return 0.0;
+  double sum = 0.0;
+  for (const Run& r : sorted()) sum += r.value * static_cast<double>(r.count);
+  return sum / static_cast<double>(count_);
+}
+
+double LatencyDistribution::stddev() const {
+  if (count_ < 2) return 0.0;
+  const double m = mean();
+  double acc = 0.0;
+  for (const Run& r : sorted())
+    acc += static_cast<double>(r.count) * (r.value - m) * (r.value - m);
+  return std::sqrt(acc / static_cast<double>(count_));
+}
+
+double LatencyDistribution::min() const {
+  if (count_ == 0) return std::numeric_limits<double>::infinity();
+  return sorted().front().value;
+}
+
+double LatencyDistribution::max() const {
+  if (count_ == 0) return -std::numeric_limits<double>::infinity();
+  return sorted().back().value;
+}
+
+double LatencyDistribution::value_at(std::size_t rank) const {
+  for (const Run& r : sorted()) {
+    if (rank < r.count) return r.value;
+    rank -= r.count;
+  }
+  VIDUR_CHECK_MSG(false, "rank " << rank << " beyond the distribution");
+  return 0.0;
+}
+
+double LatencyDistribution::quantile(double q) const {
+  VIDUR_CHECK_MSG(count_ > 0, "quantile of an empty distribution");
+  VIDUR_CHECK(q >= 0.0 && q <= 1.0);
+  if (count_ == 1) return sorted().front().value;
+  // SampleSeries::quantile's ranks and interpolation, term for term.
+  const double pos = q * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, count_ - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return value_at(lo) * (1.0 - frac) + value_at(hi) * frac;
+}
+
+Summary Summary::of(const SampleSeries& s) { return summarize(s); }
+
+Summary Summary::of(const LatencyDistribution& d) { return summarize(d); }
 
 }  // namespace vidur

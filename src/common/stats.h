@@ -32,8 +32,9 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// Retains every sample; supports exact quantiles. Metric series in a
-/// simulation are bounded by the request count so retention is cheap.
+/// Retains every sample; supports exact quantiles. Use it for per-request
+/// series (one sample per request); per-token latencies go to
+/// LatencyDistribution, whose memory is bounded by the distinct values.
 class SampleSeries {
  public:
   void add(double x) { samples_.push_back(x); }
@@ -62,6 +63,52 @@ class SampleSeries {
   void ensure_sorted() const;
 };
 
+/// Exact run-length multiset of latency samples: each distinct value with
+/// its multiplicity, so memory follows the number of distinct values, not
+/// the number of samples. Inter-token gaps repeat heavily (every decode
+/// request of an iteration emits at the same batch end), which is what makes
+/// this compact. count, min, max and quantile() equal SampleSeries's on the
+/// same samples bit for bit (same ranks, same interpolation); mean and
+/// stddev are summed over the runs in ascending value order, so they do not
+/// depend on insertion or merge order.
+class LatencyDistribution {
+ public:
+  void add(double x) { add(x, 1); }
+  /// Add every sample of `other` (a different distribution).
+  void merge(const LatencyDistribution& other);
+
+  std::size_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  double mean() const;
+  double stddev() const;  ///< population stddev; 0 when count < 2
+  double min() const;     ///< +inf when empty
+  double max() const;     ///< -inf when empty
+  /// Exact quantile, as SampleSeries::quantile. Requires a non-empty set.
+  double quantile(double q) const;
+  /// Distinct values held.
+  std::size_t num_runs() const { return distinct_; }
+
+ private:
+  struct Run {
+    double value;
+    std::size_t count;  ///< 0 marks an empty hash slot
+  };
+  void add(double x, std::size_t n);
+  void grow();
+  /// The runs in ascending value order (cached until the next add).
+  const std::vector<Run>& sorted() const;
+  /// Value of the `rank`-th smallest sample (0-based).
+  double value_at(std::size_t rank) const;
+
+  // Open-addressing hash table keyed on the value's bit pattern: adds are
+  // O(1) and equal samples always share one slot.
+  std::vector<Run> slots_;
+  std::size_t distinct_ = 0;
+  std::size_t count_ = 0;
+  mutable std::vector<Run> sorted_;
+  mutable bool sorted_valid_ = false;
+};
+
 /// Compact summary of a series, convenient for reports and CSV rows.
 struct Summary {
   std::size_t count = 0;
@@ -75,6 +122,7 @@ struct Summary {
   double max = 0.0;
 
   static Summary of(const SampleSeries& s);
+  static Summary of(const LatencyDistribution& d);
 };
 
 }  // namespace vidur

@@ -8,11 +8,9 @@
 
 namespace vidur {
 
-Seconds RequestRecord::worst_tbt() const {
-  Seconds worst = -1.0;
-  for (std::size_t i = 1; i < token_times.size(); ++i)
-    worst = std::max(worst, token_times[i] - token_times[i - 1]);
-  return worst;
+void RequestRecord::fold_gaps(LatencyDistribution& tbt) {
+  for (const Seconds gap : pending_gaps) tbt.add(gap);
+  drop_gaps();
 }
 
 bool meets_slo(const RequestRecord& r, const SloSpec& slo) {
@@ -127,6 +125,11 @@ void MetricsCollector::record_request(const RequestRecord& record) {
   requests_.push_back(record);
 }
 
+void MetricsCollector::record_tbt(TenantId tenant,
+                                  const LatencyDistribution& gaps) {
+  tbt_by_tenant_[tenant].merge(gaps);
+}
+
 void MetricsCollector::record_operators(
     const std::map<OpType, Seconds>& per_op) {
   for (const auto& [op, seconds] : per_op) {
@@ -153,7 +156,7 @@ SimulationMetrics MetricsCollector::finalize(
   m.num_requests = requests_.size();
   m.makespan = now;
 
-  SampleSeries delay, ttft, tbt, norm_e2e, norm_exec;
+  SampleSeries delay, ttft, norm_e2e, norm_exec;
   TokenCount output_tokens = 0;
   for (const auto& r : requests_) {
     if (!r.completed()) continue;
@@ -164,9 +167,9 @@ SimulationMetrics MetricsCollector::finalize(
     norm_e2e.add(r.normalized_e2e_latency());
     norm_exec.add(r.normalized_execution_latency());
     output_tokens += r.decode_tokens;
-    for (std::size_t i = 1; i < r.token_times.size(); ++i)
-      tbt.add(r.token_times[i] - r.token_times[i - 1]);
   }
+  LatencyDistribution tbt;
+  for (const auto& [tenant, gaps] : tbt_by_tenant_) tbt.merge(gaps);
   m.scheduling_delay = Summary::of(delay);
   m.ttft = Summary::of(ttft);
   m.tbt = Summary::of(tbt);
@@ -258,7 +261,7 @@ SimulationMetrics MetricsCollector::finalize(
   for (const auto& r : requests_) tagged = tagged || r.tenant != 0;
   if (tagged) {
     struct TenantAcc {
-      SampleSeries delay, ttft, tbt;
+      SampleSeries delay, ttft;
       std::size_t num_requests = 0, num_completed = 0, num_slo_met = 0;
       TokenCount output_tokens = 0;
     };
@@ -280,8 +283,6 @@ SimulationMetrics MetricsCollector::finalize(
       acc.delay.add(r.scheduling_delay());
       acc.ttft.add(r.ttft());
       acc.output_tokens += r.decode_tokens;
-      for (std::size_t i = 1; i < r.token_times.size(); ++i)
-        acc.tbt.add(r.token_times[i] - r.token_times[i - 1]);
     }
     for (const auto& [id, acc] : accs) {
       SimulationMetrics::TenantMetrics tm;
@@ -296,7 +297,8 @@ SimulationMetrics MetricsCollector::finalize(
       tm.num_completed = acc.num_completed;
       tm.scheduling_delay = Summary::of(acc.delay);
       tm.ttft = Summary::of(acc.ttft);
-      tm.tbt = Summary::of(acc.tbt);
+      const auto gaps = tbt_by_tenant_.find(id);
+      if (gaps != tbt_by_tenant_.end()) tm.tbt = Summary::of(gaps->second);
       if (now > 0) {
         tm.throughput_qps = static_cast<double>(acc.num_completed) / now;
         tm.output_tokens_per_sec =

@@ -2,12 +2,14 @@
 // and cluster-level performance metrics gathered during a simulation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "cluster/replica_state.h"
+#include "common/check.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "execution/batch_spec.h"
@@ -55,11 +57,41 @@ struct RequestRecord {
   int num_handoffs = 0;  ///< queued-on-a-dead-replica immediate re-routes
   bool shed = false;     ///< dropped by the graceful-degradation floor
   bool lost = false;     ///< recovery attempts exhausted (terminal)
-  std::vector<Seconds> token_times;  ///< decode-token emission times (TBT)
+  // Streaming output-token state (TBT). Tokens emitted before a restart
+  // stay counted, so a gap may span the restart's stall. The gap buffer
+  // lives only while the request is in flight: completion folds it into
+  // its replica's TBT distribution, a shed or lost request drops it.
+  Seconds last_token_time = -1.0;  ///< -1 before the first token
+  Seconds worst_gap = -1.0;        ///< -1 below two tokens
+  TokenCount tokens_emitted = 0;   ///< output tokens, restarts included
+  std::vector<Seconds> pending_gaps;  ///< gaps not yet folded
+
+  /// Record an output token at `now`; tokens never go back in time.
+  void emit_token(Seconds now) {
+    if (tokens_emitted > 0) {
+      VIDUR_CHECK_MSG(now >= last_token_time,
+                      "request " << id << " emitted a token at " << now
+                                 << ", before its previous token at "
+                                 << last_token_time);
+      const Seconds gap = now - last_token_time;
+      worst_gap = std::max(worst_gap, gap);
+      // One allocation per request in the common (restart-free) case.
+      if (pending_gaps.capacity() == 0)
+        pending_gaps.reserve(static_cast<std::size_t>(
+            std::max<TokenCount>(decode_tokens - 1, 1)));
+      pending_gaps.push_back(gap);
+    }
+    last_token_time = now;
+    ++tokens_emitted;
+  }
+  /// Add the buffered gaps to `tbt` and free the buffer.
+  void fold_gaps(LatencyDistribution& tbt);
+  /// Free the gap buffer without counting it (shed or lost requests).
+  void drop_gaps() { std::vector<Seconds>().swap(pending_gaps); }
 
   bool completed() const { return completed_time >= 0.0; }
-  /// Worst inter-token gap; -1 with fewer than two decode tokens.
-  Seconds worst_tbt() const;
+  /// Worst inter-token gap; -1 with fewer than two output tokens.
+  Seconds worst_tbt() const { return worst_gap; }
   /// Touched by a fault: displaced, handed off, shed or lost.
   bool fault_impacted() const {
     return num_retries > 0 || num_handoffs > 0 || shed || lost;
@@ -277,7 +309,8 @@ struct SimulationMetrics {
   std::string to_string() const;
 };
 
-/// Collects raw samples during a run and aggregates them at the end.
+/// Collects request records, streaming batch accumulators and per-tenant
+/// TBT distributions during a run and aggregates them at the end.
 class MetricsCollector {
  public:
   /// `pools` carries each pool's rates, in pool order (the scaling report's
@@ -296,6 +329,9 @@ class MetricsCollector {
 
   void record_batch(const BatchRecord& record);
   void record_request(const RequestRecord& record);
+  /// Add one replica's inter-token gaps of `tenant`'s completed requests.
+  /// The fleet TBT is every tenant's gaps together.
+  void record_tbt(TenantId tenant, const LatencyDistribution& gaps);
   /// Accumulate one stage execution's per-operator time attribution.
   void record_operators(const std::map<OpType, Seconds>& per_op);
 
@@ -310,10 +346,6 @@ class MetricsCollector {
   SimulationMetrics finalize(Seconds now) const;
   SimulationMetrics finalize(Seconds now,
                              const ClusterScalingReport& scaling) const;
-
-  const std::vector<RequestRecord>& request_records() const {
-    return requests_;
-  }
 
  private:
   /// Streaming per-pool accumulators (exact attribution).
@@ -332,6 +364,7 @@ class MetricsCollector {
   bool uniform_ = true;
   std::vector<TenantInfo> tenants_;
   std::vector<RequestRecord> requests_;
+  std::map<TenantId, LatencyDistribution> tbt_by_tenant_;
   std::vector<PoolAcc> pool_accs_;
   // Streaming replica-level accumulators (batch records are not retained).
   double total_flops_ = 0.0;

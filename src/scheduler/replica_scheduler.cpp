@@ -111,16 +111,17 @@ std::vector<RequestState*> ReplicaScheduler::on_batch_end(
         if (r->record.prefill_completed_time < 0)
           r->record.prefill_completed_time = now;
         r->decode_done = 1;  // prefill emits the first output token
-        r->record.token_times.push_back(now);
+        r->record.emit_token(now);
       }
     } else {
       r->decode_done += 1;
       r->kv_context += 1;
-      r->record.token_times.push_back(now);
+      r->record.emit_token(now);
     }
 
     if (r->finished()) {
       r->record.completed_time = now;
+      r->record.fold_gaps(tbt_by_tenant_[r->record.tenant]);
       trace_emit(trace_, TraceEventKind::kCompleted, now, obs_self_,
                  r->request.id, r->record.num_restarts,
                  static_cast<std::int64_t>(batch.items.size()));

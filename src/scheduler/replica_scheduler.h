@@ -6,6 +6,7 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -88,6 +89,10 @@ class ReplicaScheduler {
   bool has_work() const { return outstanding() > 0; }
 
   const BlockManager& blocks() const { return block_manager_; }
+  /// Inter-token gaps of the requests that completed here, per tenant.
+  const std::map<TenantId, LatencyDistribution>& tbt_by_tenant() const {
+    return tbt_by_tenant_;
+  }
   const SchedulerConfig& config() const { return config_; }
 
   /// Attach observability (simulator-owned, src/obs/): `self` identifies
@@ -179,6 +184,7 @@ class ReplicaScheduler {
   std::deque<RequestState*> waiting_;
   std::vector<RequestState*> running_;  ///< admitted, unfinished
   std::unordered_map<RequestId, RequestState*> by_id_;
+  std::map<TenantId, LatencyDistribution> tbt_by_tenant_;
 
   // ---- observability (all optional; see set_obs) ----
   ReplicaId obs_self_ = -1;

@@ -187,9 +187,6 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
     state.record.arrival_time = req.arrival_time;
     state.record.prefill_tokens = req.prefill_tokens;
     state.record.decode_tokens = req.decode_tokens;
-    // One slot per output token: token-time appends never reallocate.
-    state.record.token_times.reserve(
-        static_cast<std::size_t>(req.decode_tokens));
     states_.push_back(std::move(state));
   }
 
@@ -319,6 +316,7 @@ void Simulator::recover_request(RequestState* request, ReplicaId replica_id) {
     trace_emit(trace_rec_, TraceEventKind::kRequestRetry, events_.now(),
                replica_id, rec.id, rec.num_retries, 0, 1);
     rec.lost = true;
+    rec.drop_gaps();
     --remaining_requests_;
     ++num_lost_;
     rolling_request_delta(*request, -1);
@@ -352,6 +350,7 @@ bool Simulator::maybe_shed(RequestState* request) {
   trace_emit(trace_rec_, TraceEventKind::kRequestShed, events_.now(), -1,
              request->record.id, priority, active, 0);
   request->record.shed = true;
+  request->record.drop_gaps();
   --remaining_requests_;
   ++num_shed_;
   rolling_request_delta(*request, -1);
@@ -561,6 +560,9 @@ SimulationMetrics Simulator::run() {
 
   for (const RequestState& state : states_)
     metrics_.record_request(state.record);
+  for (const Replica& replica : replicas_)
+    for (const auto& [tenant, gaps] : replica.scheduler->tbt_by_tenant())
+      metrics_.record_tbt(tenant, gaps);
   // Replica-private tallies fold into the shared counters once, after the
   // last event: shard threads never touch the registry.
   {

@@ -2,9 +2,14 @@
 // stats, quantiles, CSV round-trips, table formatting, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/csv.h"
@@ -215,6 +220,129 @@ TEST(SampleSeries, SummaryFields) {
   EXPECT_NEAR(sum.p99, 990.01, 0.1);
   EXPECT_DOUBLE_EQ(sum.min, 1.0);
   EXPECT_DOUBLE_EQ(sum.max, 1000.0);
+}
+
+// ---------------------------------------------------- LatencyDistribution
+
+/// `n` seeded samples drawn from `distinct` lognormal values: heavy ties,
+/// like the inter-token gaps of one replica.
+std::vector<double> tied_samples(std::uint64_t seed, int n, int distinct) {
+  Rng rng(seed);
+  std::vector<double> values(static_cast<std::size_t>(distinct));
+  for (double& v : values) v = rng.lognormal(-4.0, 0.6);
+  std::vector<double> out(static_cast<std::size_t>(n));
+  for (double& x : out)
+    x = values[static_cast<std::size_t>(rng.uniform_int(0, distinct - 1))];
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Quantiles, extrema and count bit for bit; mean and stddev within 1e-12
+/// relative (they are summed in a different order).
+void expect_matches_series(const std::vector<double>& samples) {
+  SampleSeries series;
+  LatencyDistribution dist;
+  for (const double x : samples) {
+    series.add(x);
+    dist.add(x);
+  }
+  const Summary a = Summary::of(series);
+  const Summary b = Summary::of(dist);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(bits(a.min), bits(b.min));
+  EXPECT_EQ(bits(a.p50), bits(b.p50));
+  EXPECT_EQ(bits(a.p90), bits(b.p90));
+  EXPECT_EQ(bits(a.p95), bits(b.p95));
+  EXPECT_EQ(bits(a.p99), bits(b.p99));
+  EXPECT_EQ(bits(a.max), bits(b.max));
+  for (const double q : {0.0, 0.25, 0.333, 0.5, 0.999, 1.0})
+    EXPECT_EQ(bits(series.quantile(q)), bits(dist.quantile(q))) << q;
+  EXPECT_NEAR(b.mean, a.mean, 1e-12 * std::abs(a.mean));
+  EXPECT_NEAR(b.stddev, a.stddev, 1e-12 * std::abs(a.stddev));
+}
+
+/// Byte-level equality of two summaries.
+void expect_same_bytes(const Summary& a, const Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  for (const auto field : {&Summary::mean, &Summary::stddev, &Summary::min,
+                           &Summary::p50, &Summary::p90, &Summary::p95,
+                           &Summary::p99, &Summary::max})
+    EXPECT_EQ(bits(a.*field), bits(b.*field));
+}
+
+TEST(LatencyDistribution, MatchesSampleSeriesOnTiedMultisets) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches_series(tied_samples(seed, 20000, 37));
+    expect_matches_series(tied_samples(seed, 5000, 3000));  // few ties
+    expect_matches_series(tied_samples(seed, 777, 2));
+  }
+}
+
+TEST(LatencyDistribution, MatchesSampleSeriesOnOneAndTwoSamples) {
+  expect_matches_series({0.0125});
+  expect_matches_series({0.02, 0.01});
+  expect_matches_series({0.01, 0.01});
+  LatencyDistribution one;
+  one.add(0.5);
+  EXPECT_EQ(one.num_runs(), 1u);
+  EXPECT_EQ(one.stddev(), 0.0);
+  for (const double q : {0.0, 0.5, 1.0}) EXPECT_EQ(one.quantile(q), 0.5);
+}
+
+TEST(LatencyDistribution, KeepsOneRunPerDistinctValue) {
+  LatencyDistribution d;
+  for (const double x : tied_samples(9, 10000, 250)) d.add(x);
+  EXPECT_EQ(d.count(), 10000u);
+  std::set<double> distinct;
+  for (const double x : tied_samples(9, 10000, 250)) distinct.insert(x);
+  EXPECT_EQ(d.num_runs(), distinct.size());
+}
+
+TEST(LatencyDistribution, EmptyIsSafe) {
+  LatencyDistribution d;
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.mean(), 0.0);
+  EXPECT_EQ(d.stddev(), 0.0);
+  EXPECT_THROW(d.quantile(0.5), Error);
+  const Summary s = Summary::of(d);
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.max, 0.0);
+  LatencyDistribution other;
+  other.merge(d);
+  EXPECT_TRUE(other.empty());
+}
+
+TEST(LatencyDistribution, MergeOrderNeverChangesTheSummary) {
+  // Five shards (one per simulated replica), merged in all 120 orders,
+  // must summarize to the same bytes as adding every sample to one set.
+  const std::vector<double> samples = tied_samples(11, 30000, 400);
+  std::vector<LatencyDistribution> shards(5);
+  LatencyDistribution all;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    shards[(i * 7 + i / 13) % shards.size()].add(samples[i]);
+    all.add(samples[i]);
+  }
+  const Summary expected = Summary::of(all);
+  std::vector<std::size_t> order = {0, 1, 2, 3, 4};
+  int orders = 0;
+  do {
+    LatencyDistribution merged;
+    for (const std::size_t i : order) merged.merge(shards[i]);
+    expect_same_bytes(Summary::of(merged), expected);
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 120);
+
+  // Merging into a non-empty set, and re-summarizing after more adds.
+  LatencyDistribution split = shards[3];
+  split.merge(shards[0]);
+  for (const std::size_t i : {4u, 1u, 2u}) split.merge(shards[i]);
+  expect_same_bytes(Summary::of(split), expected);
+  split.add(1e9);
+  EXPECT_EQ(split.max(), 1e9);
+  EXPECT_EQ(split.count(), samples.size() + 1);
 }
 
 // -------------------------------------------------------------------- csv

@@ -236,8 +236,10 @@ TEST_P(DisaggPropertyTest, CompletesWithRequestInvariants) {
     EXPECT_GE(r.record.prefill_completed_time,
               r.record.first_scheduled_time);
     EXPECT_GE(r.record.completed_time, r.record.prefill_completed_time);
-    for (std::size_t i = 1; i < r.record.token_times.size(); ++i)
-      EXPECT_GE(r.record.token_times[i], r.record.token_times[i - 1]);
+    // Token times going backwards across the hand-off would have thrown
+    // inside run(); the first token is the prefill replica's.
+    EXPECT_EQ(r.record.tokens_emitted, r.request.decode_tokens);
+    EXPECT_DOUBLE_EQ(r.record.last_token_time, r.record.completed_time);
   }
 }
 

@@ -2,13 +2,18 @@
 // aggregation (throughput, MFU, utilization accounting).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "common/check.h"
 #include "metrics/metrics.h"
 
 namespace vidur {
 namespace {
 
-RequestRecord sample_record() {
+RequestRecord sample_record(
+    std::initializer_list<Seconds> token_times = {
+        11.0, 11.5, 12.0, 12.6, 13.0, 13.4, 13.8, 14.2, 14.6, 15.0}) {
   RequestRecord r;
   r.id = 1;
   r.arrival_time = 10.0;
@@ -17,8 +22,44 @@ RequestRecord sample_record() {
   r.completed_time = 15.0;
   r.prefill_tokens = 100;
   r.decode_tokens = 10;
-  r.token_times = {11.0, 11.5, 12.0, 12.6, 13.0, 13.4, 13.8, 14.2, 14.6, 15.0};
+  for (const Seconds t : token_times) r.emit_token(t);
   return r;
+}
+
+TEST(RequestRecord, StreamingTokenState) {
+  RequestRecord r = sample_record();
+  EXPECT_EQ(r.tokens_emitted, 10);
+  EXPECT_DOUBLE_EQ(r.last_token_time, 15.0);
+  EXPECT_DOUBLE_EQ(r.worst_tbt(), 0.6);
+  ASSERT_EQ(r.pending_gaps.size(), 9u);
+  EXPECT_DOUBLE_EQ(r.pending_gaps.front(), 0.5);
+
+  LatencyDistribution tbt;
+  r.fold_gaps(tbt);
+  EXPECT_EQ(tbt.count(), 9u);
+  EXPECT_DOUBLE_EQ(tbt.max(), 0.6);
+  EXPECT_TRUE(r.pending_gaps.empty());
+  EXPECT_EQ(r.pending_gaps.capacity(), 0u);  // the buffer is freed
+  EXPECT_DOUBLE_EQ(r.worst_tbt(), 0.6);      // the streaming state stays
+
+  RequestRecord one = sample_record({11.0});
+  EXPECT_EQ(one.tokens_emitted, 1);
+  EXPECT_LT(one.worst_tbt(), 0.0);  // below two tokens
+  EXPECT_TRUE(one.pending_gaps.empty());
+}
+
+TEST(RequestRecord, TokenTimeGoingBackwardsNamesTheRequest) {
+  RequestRecord r = sample_record({11.0, 12.0});
+  r.id = 42;
+  try {
+    r.emit_token(11.5);
+    FAIL() << "expected a backwards token time to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("request 42"), std::string::npos)
+        << e.what();
+  }
+  r.emit_token(12.0);  // a zero gap is not backwards
+  EXPECT_EQ(r.tokens_emitted, 3);
 }
 
 TEST(RequestRecord, DerivedMetrics) {
@@ -39,11 +80,15 @@ TEST(RequestRecord, IncompleteRequest) {
 
 TEST(MetricsCollector, AggregatesRequestLevelMetrics) {
   MetricsCollector collector(1, 312e12, 1);
-  collector.record_request(sample_record());
-  RequestRecord r2 = sample_record();
+  RequestRecord r1 = sample_record();
+  RequestRecord r2 = sample_record({11.0, 20.0});
   r2.id = 2;
   r2.completed_time = 20.0;  // norm e2e = 1.0
-  r2.token_times = {11.0, 20.0};
+  LatencyDistribution tbt;
+  r1.fold_gaps(tbt);
+  r2.fold_gaps(tbt);
+  collector.record_tbt(/*tenant=*/0, tbt);
+  collector.record_request(r1);
   collector.record_request(r2);
 
   const SimulationMetrics m = collector.finalize(20.0);
@@ -193,9 +238,8 @@ MetricsCollector one_pool_collector(const PoolResources& pool = one_gpu_pool(),
 }
 
 RequestRecord one_token_request() {
-  RequestRecord r = sample_record();
+  RequestRecord r = sample_record({11.0});  // at prefill completion
   r.decode_tokens = 1;
-  r.token_times = {r.prefill_completed_time};
   return r;
 }
 

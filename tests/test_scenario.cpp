@@ -357,9 +357,8 @@ RequestRecord completed_record(RequestId id, TenantId tenant, Seconds ttft,
   r.prefill_completed_time = ttft;
   r.decode_tokens = decode_tokens;
   r.prefill_tokens = 10;
-  for (int i = 0; i < decode_tokens; ++i)
-    r.token_times.push_back(ttft + i * tbt_gap);
-  r.completed_time = r.token_times.back();
+  for (int i = 0; i < decode_tokens; ++i) r.emit_token(ttft + i * tbt_gap);
+  r.completed_time = r.last_token_time;
   return r;
 }
 

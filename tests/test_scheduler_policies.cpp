@@ -98,8 +98,8 @@ TEST_P(AllPoliciesTest, CompletesAllRequests) {
   for (RequestState* r : requests) {
     EXPECT_TRUE(r->finished());
     EXPECT_GE(r->record.completed_time, 0.0);
-    EXPECT_EQ(static_cast<TokenCount>(r->record.token_times.size()),
-              r->request.decode_tokens);
+    EXPECT_EQ(r->record.tokens_emitted, r->request.decode_tokens);
+    EXPECT_TRUE(r->record.pending_gaps.empty());  // folded at completion
   }
 }
 
@@ -126,8 +126,12 @@ TEST_P(AllPoliciesTest, TokenTimesStrictlyOrdered) {
   Harness h = make_harness(GetParam());
   RequestState* r = h.add(64, 12);
   h.run_to_completion();
-  for (std::size_t i = 1; i < r->record.token_times.size(); ++i)
-    EXPECT_GT(r->record.token_times[i], r->record.token_times[i - 1]);
+  // Every gap is strictly positive: the smallest folded gap is above zero.
+  const LatencyDistribution& tbt =
+      h.scheduler().tbt_by_tenant().at(r->record.tenant);
+  EXPECT_EQ(r->record.tokens_emitted, 12);
+  EXPECT_EQ(tbt.count(), 11u);
+  EXPECT_GT(tbt.min(), 0.0);
 }
 
 TEST_P(AllPoliciesTest, OversizedRequestRejectedAtEnqueue) {
