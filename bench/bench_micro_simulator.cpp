@@ -181,63 +181,6 @@ bench::Json analyze_trace_case(const std::string& model, int n) {
   return j;
 }
 
-/// Fleet-scale throughput of the sharded parallel core: a 128-replica
-/// round-robin fleet replaying a multi-hundred-thousand-request chat trace
-/// at execution.threads 1/2/4/8, reporting events/s and the speedup curve.
-/// The numbers are honest for whatever machine runs the bench — the
-/// surrounding meta block records `hardware_threads`, and on a single-core
-/// CI runner the curve is flat by construction (the SpinTeam yields under
-/// oversubscription instead of spinning).
-bench::Json fleet_scale_case() {
-  VidurSession& session = shared_session("llama2-7b");
-  DeploymentConfig config = config_for("llama2-7b", SchedulerKind::kVllm);
-  config.parallel = ParallelConfig{1, 1, 128};
-  const int n = bench::scaled(240000, 12000);
-  const Trace trace =
-      generate_trace(trace_by_name("chat1m"),
-                     ArrivalSpec{ArrivalKind::kPoisson, 400.0, 0}, n, 3);
-
-  // One full untimed replay first: the timed threads=1 run must not pay
-  // the cold estimator misses and first-touch allocations that the later
-  // thread counts would then inherit as all-hits (a fake speedup).
-  {
-    DeploymentConfig warm = config;
-    warm.threads = 1;
-    session.simulate(warm, trace);
-  }
-
-  bench::Json by_threads = bench::Json::object();
-  double base_events_per_sec = 0.0;
-  for (const int threads : {1, 2, 4, 8}) {
-    config.threads = threads;
-    const double start = now_seconds();
-    const SimulationMetrics metrics = session.simulate(config, trace);
-    const double elapsed = now_seconds() - start;
-    const double events_per_sec =
-        static_cast<double>(metrics.num_sim_events) / elapsed;
-    if (threads == 1) base_events_per_sec = events_per_sec;
-
-    bench::Json j = bench::Json::object();
-    j.set("wall_s", elapsed);
-    j.set("events", static_cast<std::int64_t>(metrics.num_sim_events));
-    j.set("events_per_sec", events_per_sec);
-    j.set("requests_per_sec", static_cast<double>(n) / elapsed);
-    j.set("speedup_vs_1", base_events_per_sec > 0
-                              ? events_per_sec / base_events_per_sec
-                              : 1.0);
-    std::cout << "BM_FleetScale/threads:" << threads << ": "
-              << static_cast<long>(events_per_sec) << " events/s ("
-              << events_per_sec / base_events_per_sec << "x vs 1 thread)\n";
-    by_threads.set("t" + std::to_string(threads), std::move(j));
-  }
-
-  bench::Json j = bench::Json::object();
-  j.set("num_replicas", static_cast<std::int64_t>(128));
-  j.set("num_requests", static_cast<std::int64_t>(n));
-  j.set("by_threads", std::move(by_threads));
-  return j;
-}
-
 bench::Json estimator_case() {
   VidurSession& session = shared_session("llama2-7b");
   const RuntimeEstimator& est = session.estimator("a100");
@@ -366,7 +309,6 @@ int main() {
     results.set("BM_SimulateChatTraced",
                 traced_chat_case("llama2-7b", SchedulerKind::kVllm, n));
     results.set("BM_AnalyzeTrace", analyze_trace_case("llama2-7b", n));
-    results.set("BM_FleetScale", fleet_scale_case());
     results.set("BM_EstimatorPredict", estimator_case());
     results.set("BM_CapacitySearch", capacity_search_case());
   }

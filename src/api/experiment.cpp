@@ -213,34 +213,58 @@ ExperimentSpec& ExperimentSpec::with_faults(FaultConfig faults) {
 
 // -------------------------------------------------------------- validate
 
+std::vector<PoolSpec> ExperimentSpec::checked_pools() const {
+  DeploymentConfig largest = deployment;
+  int& slots = largest.parallel.num_replicas;
+  for (const int n : sweep.num_replicas) slots = std::max(slots, n);
+  if (mode == ExperimentMode::kElasticPlan)
+    slots = std::max({slots, largest.autoscale.min_replicas,
+                      largest.autoscale.initial_replicas});
+  return largest.lowered_pools();
+}
+
 void ExperimentSpec::validate() const {
   VIDUR_CHECK_MSG(!name.empty(), "experiment spec needs a non-empty name");
   check_name("model", model, builtin_model_names());
-  check_name("SKU", deployment.sku_name, builtin_sku_names());
 
-  deployment.parallel.validate();
-  deployment.scheduler.validate();
-  const auto check_tp_covered = [this](int tp, const char* what) {
+  // Read before lowering: checked_pools() resizes the homogeneous fleet
+  // along the num_replicas axis.
+  VIDUR_CHECK_MSG(deployment.pools.empty() ||
+                      (sweep.sku.empty() && sweep.tensor_parallel.empty() &&
+                       sweep.pipeline_parallel.empty() &&
+                       sweep.num_replicas.empty()),
+                  "sweep axes sku/tensor_parallel/pipeline_parallel/"
+                  "num_replicas rewrite the homogeneous deployment, which "
+                  "deployment.pools supersedes; drop those axes or the "
+                  "pools");
+
+  // ---- deployment, as the pools it lowers to ----
+  const std::vector<PoolSpec> pools = checked_pools();
+  // validate_pools() owns the structural checks (names, costs, roles,
+  // group consistency); the SKU did-you-mean runs first.
+  for (const PoolSpec& pool : pools)
+    check_name("SKU", pool.sku_name, builtin_sku_names());
+  validate_pools(pools);
+  bool any_capacity = false, all_capacity = true;
+  for (const PoolSpec& pool : pools) {
+    const int tp = pool.parallel.tensor_parallel;
     VIDUR_CHECK_MSG(
         std::count(tp_degrees.begin(), tp_degrees.end(), tp) > 0,
-        what << " tensor_parallel " << tp
-             << " is not covered by the session tp_degrees [" << [this] {
-                  std::ostringstream os;
-                  for (std::size_t i = 0; i < tp_degrees.size(); ++i)
-                    os << (i > 0 ? ", " : "") << tp_degrees[i];
-                  return os.str();
-                }() << "]; add it to tp_degrees so onboarding profiles it");
-  };
-  if (deployment.pools.empty())
-    check_tp_covered(deployment.parallel.tensor_parallel, "deployment");
-
-  VIDUR_CHECK_MSG(
-      !(deployment.disagg.enabled() && deployment.autoscale.enabled()),
-      "disaggregated serving and autoscaling cannot be combined in the "
-      "homogeneous form (use deployment.pools with prefill/decode pools, "
-      "which scale independently); disable deployment.disagg or "
-      "deployment.autoscale");
-  if (deployment.autoscale.enabled()) deployment.autoscale.validate();
+        "pool '" << pool.name << "' tensor_parallel " << tp
+                 << " is not covered by the session tp_degrees [" << [this] {
+                      std::ostringstream os;
+                      for (std::size_t i = 0; i < tp_degrees.size(); ++i)
+                        os << (i > 0 ? ", " : "") << tp_degrees[i];
+                      return os.str();
+                    }() << "]; add it to tp_degrees so onboarding profiles it");
+    any_capacity |= pool.capacity_qps > 0;
+    all_capacity &= pool.capacity_qps > 0;
+  }
+  VIDUR_CHECK_MSG(!any_capacity || all_capacity,
+                  "deployment.pools sets capacity_qps on some pools but "
+                  "not others; set it on every pool or on none (unset "
+                  "capacities are derived from the estimator)");
+  deployment.scheduler.validate();
 
   // ---- prefix cache ----
   deployment.prefix_cache.validate();
@@ -251,74 +275,23 @@ void ExperimentSpec::validate() const {
       "set deployment.prefix_cache.enabled = true (or pick another "
       "routing policy)");
 
-  // ---- heterogeneous pools ----
-  if (!deployment.pools.empty()) {
-    VIDUR_CHECK_MSG(deployment.autoscale == AutoscalerConfig{},
-                    "deployment.pools carries per-pool autoscale policies; "
-                    "remove the top-level deployment.autoscale section");
-    VIDUR_CHECK_MSG(!deployment.disagg.enabled(),
-                    "deployment.pools defines disaggregation through pool "
-                    "roles; remove deployment.disagg.num_prefill_replicas "
-                    "(the transfer_* fields still apply)");
-    VIDUR_CHECK_MSG(
-        deployment.sku_name == DeploymentConfig{}.sku_name &&
-            deployment.parallel == ParallelConfig{},
-        "deployment.pools supersedes the homogeneous sku/tensor_parallel/"
-        "pipeline_parallel/num_replicas fields; leave them at their "
-        "defaults (each pool carries its own)");
-    // validate_pools() owns the structural checks (names, costs, roles,
-    // group consistency); this loop adds only the spec-layer extras: the
-    // SKU did-you-mean and the session tp_degrees coverage.
-    for (const PoolSpec& pool : deployment.pools) {
-      check_name("SKU", pool.sku_name, builtin_sku_names());
-      check_tp_covered(pool.parallel.tensor_parallel,
-                       ("pool '" + pool.name + "'").c_str());
-    }
-    validate_pools(deployment.pools);
-    bool any_capacity = false, all_capacity = true;
-    for (const PoolSpec& pool : deployment.pools) {
-      any_capacity |= pool.capacity_qps > 0;
-      all_capacity &= pool.capacity_qps > 0;
-    }
-    VIDUR_CHECK_MSG(!any_capacity || all_capacity,
-                    "deployment.pools sets capacity_qps on some pools but "
-                    "not others; set it on every pool or on none (unset "
-                    "capacities are derived from the estimator)");
-  }
-
   // ---- fault injection ----
   deployment.faults.validate();
   if (deployment.faults.enabled()) {
-    // Profiles must aim at pools that exist. "" (or "fleet") targets the
-    // homogeneous fleet and is only meaningful without named pools.
+    // "" and "fleet" target every replica; any other name must be a pool.
     std::vector<std::string> pool_names;
-    for (const PoolSpec& pool : deployment.pools)
-      pool_names.push_back(pool.name);
-    for (const FaultProfile& p : deployment.faults.profiles) {
-      if (deployment.pools.empty()) {
-        VIDUR_CHECK_MSG(p.pool.empty() || p.pool == "fleet",
-                        "faults profile targets pool '"
-                            << p.pool
-                            << "' but the deployment has no named pools; "
-                               "leave the profile's pool empty to target "
-                               "the homogeneous fleet");
-      } else {
+    for (const PoolSpec& pool : pools) pool_names.push_back(pool.name);
+    for (const FaultProfile& p : deployment.faults.profiles)
+      if (!p.pool.empty() && p.pool != "fleet")
         check_name("faults profile pool", p.pool, pool_names);
-      }
-    }
     // Kill-type faults remove capacity; without an autoscaler there is
     // nothing to provision replacements, so the what-if is degenerate.
-    if (deployment.faults.any_kills()) {
-      const bool elastic = deployment.pools.empty()
-                               ? deployment.autoscale.enabled()
-                               : any_pool_autoscaled(deployment.pools);
-      VIDUR_CHECK_MSG(
-          elastic,
-          "faults include crashes or spot preemption, which permanently "
-          "remove replicas; enable autoscaling (deployment.autoscale or a "
-          "pool autoscale section) so the fleet can provision replacements "
-          "(degrade-only profiles work on static fleets)");
-    }
+    VIDUR_CHECK_MSG(
+        !deployment.faults.any_kills() || any_pool_autoscaled(pools),
+        "faults include crashes or spot preemption, which permanently "
+        "remove replicas; enable autoscaling (deployment.autoscale or a "
+        "pool autoscale section) so the fleet can provision replacements "
+        "(degrade-only profiles work on static fleets)");
     switch (mode) {
       case ExperimentMode::kSimulate:
       case ExperimentMode::kReference:
@@ -336,14 +309,11 @@ void ExperimentSpec::validate() const {
   VIDUR_CHECK_MSG(deployment.threads >= 1,
                   "deployment.execution.threads must be >= 1 (got "
                       << deployment.threads << ")");
-  if (deployment.threads > 1) {
-    VIDUR_CHECK_MSG(
-        !deployment.disagg.enabled() &&
-            !pools_disaggregated(deployment.pools),
-        "deployment.execution.threads > 1 cannot shard disaggregated "
-        "serving (prefill->decode KV hand-offs have zero lookahead); set "
-        "threads = 1 or drop the disaggregation");
-  }
+  VIDUR_CHECK_MSG(
+      deployment.threads == 1 || !pools_disaggregated(pools),
+      "deployment.execution.threads > 1 cannot shard disaggregated "
+      "serving (prefill->decode KV hand-offs have zero lookahead); set "
+      "threads = 1 or drop the disaggregation");
 
   // ---- workload ----
   if (workload.synthetic()) {
@@ -416,9 +386,7 @@ void ExperimentSpec::validate() const {
       VIDUR_CHECK_MSG(!workload.synthetic(),
                       "elastic_plan mode compares static and autoscaled "
                       "fleets on a named scenario; set workload.scenario");
-      VIDUR_CHECK_MSG(deployment.pools.empty()
-                          ? deployment.autoscale.enabled()
-                          : any_pool_autoscaled(deployment.pools),
+      VIDUR_CHECK_MSG(any_pool_autoscaled(pools),
                       "elastic_plan mode needs an autoscaling policy to "
                       "evaluate: set deployment.autoscale (homogeneous) or "
                       "an autoscale section on at least one pool");
@@ -431,14 +399,6 @@ void ExperimentSpec::validate() const {
   }
 
   // ---- sweep axes ----
-  VIDUR_CHECK_MSG(deployment.pools.empty() ||
-                      (sweep.sku.empty() && sweep.tensor_parallel.empty() &&
-                       sweep.pipeline_parallel.empty() &&
-                       sweep.num_replicas.empty()),
-                  "sweep axes sku/tensor_parallel/pipeline_parallel/"
-                  "num_replicas rewrite the homogeneous deployment, which "
-                  "deployment.pools supersedes; drop those axes or the "
-                  "pools");
   for (const std::string& sku : sweep.sku)
     check_name("SKU", sku, builtin_sku_names());
   for (const std::string& sched : sweep.scheduler)

@@ -165,8 +165,16 @@ struct ExperimentSpec {
   /// Throws vidur::Error with an actionable message on any inconsistency:
   /// unknown model/SKU/trace/scenario/scheduler names (with a did-you-mean
   /// suggestion), a TP degree not covered by `tp_degrees`, disaggregation
-  /// combined with autoscaling, or mode/workload mismatches.
+  /// combined with autoscaling, or mode/workload mismatches. Every
+  /// deployment check runs over checked_pools(), whichever form the
+  /// deployment was written in.
   void validate() const;
+
+  /// The pools validate() checks: deployment.lowered_pools() with the
+  /// homogeneous fleet at the largest size any run of this spec uses
+  /// (sweep points and elastic_plan resize it; elastic_plan also caps the
+  /// policy's floor at the size it picks). Throws like lowered_pools().
+  std::vector<PoolSpec> checked_pools() const;
 
   /// Expand the sweep axes into one concrete spec per point (the base spec
   /// alone when no axis is set). Children carry a descriptive name suffix

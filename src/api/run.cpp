@@ -52,13 +52,10 @@ AnalysisOptions make_analysis_options(const ExperimentSpec& spec,
     ov.tbt_target = t.slo.tbt_target;
     options.tenants.push_back(std::move(ov));
   }
-  if (!spec.deployment.pools.empty()) {
-    const std::vector<int> layout = pool_slot_layout(spec.deployment.pools);
-    options.replica_pools.reserve(layout.size());
-    for (const int pool : layout)
-      options.replica_pools.push_back(
-          spec.deployment.pools[static_cast<std::size_t>(pool)].name);
-  }
+  const std::vector<PoolSpec> pools = spec.deployment.lowered_pools();
+  for (const int pool : pool_slot_layout(pools))
+    options.replica_pools.push_back(
+        pools[static_cast<std::size_t>(pool)].name);
   return options;
 }
 
@@ -179,8 +176,7 @@ void check_session(const VidurSession& session, const ExperimentSpec& spec) {
                         "profiled tp_degrees; construct the VidurSession "
                         "with SessionOptions::tp_degrees including it");
   };
-  check_tp(spec.deployment.parallel.tensor_parallel);
-  for (const PoolSpec& pool : spec.deployment.pools)
+  for (const PoolSpec& pool : spec.checked_pools())
     check_tp(pool.parallel.tensor_parallel);
   if (spec.mode == ExperimentMode::kCapacitySearch)
     for (const int tp : spec.search.tp_degrees) check_tp(tp);

@@ -218,17 +218,16 @@ std::vector<PoolSpec> lower_to_pools(std::vector<PoolSpec> pools,
                                      const std::string& sku_name,
                                      const ParallelConfig& parallel,
                                      const DisaggConfig& disagg,
-                                     const AutoscalerConfig& autoscale,
-                                     int threads) {
+                                     const AutoscalerConfig& autoscale) {
   const int num_prefill_replicas = disagg.num_prefill_replicas;
   if (!pools.empty()) {
+    VIDUR_CHECK_MSG(autoscale == AutoscalerConfig{},
+                    "deployment.pools carries per-pool autoscale policies; "
+                    "remove the top-level deployment.autoscale section");
     VIDUR_CHECK_MSG(num_prefill_replicas == 0,
-                    "pool deployments define disaggregation through pool "
-                    "roles; leave disagg.num_prefill_replicas at 0 (the "
-                    "transfer_* fields still parameterize KV hand-off)");
-    VIDUR_CHECK_MSG(!autoscale.enabled(),
-                    "pool deployments autoscale per pool; leave the "
-                    "top-level autoscale disabled");
+                    "deployment.pools defines disaggregation through pool "
+                    "roles; remove deployment.disagg.num_prefill_replicas "
+                    "(the transfer_* fields still apply)");
     return pools;
   }
   PoolSpec fleet;
@@ -238,17 +237,17 @@ std::vector<PoolSpec> lower_to_pools(std::vector<PoolSpec> pools,
   fleet.autoscale = autoscale;
   if (num_prefill_replicas == 0) return {std::move(fleet)};
 
-  VIDUR_CHECK_MSG(!autoscale.enabled(),
-                  "autoscaling is not supported with legacy disaggregated "
-                  "serving; use a pool deployment with prefill/decode pools "
-                  "instead");
+  VIDUR_CHECK_MSG(num_prefill_replicas > 0,
+                  "disagg.num_prefill_replicas must be >= 0 (0 disables "
+                  "the prefill/decode split)");
+  VIDUR_CHECK_MSG(
+      !autoscale.enabled(),
+      "disaggregated serving and autoscaling cannot be combined in the "
+      "homogeneous form (use deployment.pools with prefill/decode pools, "
+      "which scale independently); disable deployment.disagg or "
+      "deployment.autoscale");
   VIDUR_CHECK_MSG(num_prefill_replicas < parallel.num_replicas,
                   "disaggregation requires at least one decode replica");
-  // KV hand-offs between roles have zero lookahead (a prefill's end is the
-  // decode's input), so the split cannot shard.
-  VIDUR_CHECK_MSG(threads <= 1,
-                  "execution.threads > 1 is not supported with legacy "
-                  "disaggregated serving; run with threads = 1");
   PoolSpec prefill = fleet;
   prefill.name = "prefill";
   prefill.role = PoolRole::kPrefill;

@@ -119,8 +119,8 @@ ClusterScalingReport static_pools_report(const std::vector<PoolSpec>& pools,
 
 /// Lower any deployment form to pools — the only form the engine runs.
 ///
-///   - Written `pools` come back unchanged; the homogeneous fields must then
-///     stay at their defaults (no legacy split, `autoscale` off).
+///   - Written `pools` come back unchanged; the legacy split and the
+///     top-level `autoscale` must then stay at their defaults.
 ///   - The homogeneous form (`pools` empty) becomes one unified pool named
 ///     "fleet" of `parallel.num_replicas` slots carrying `autoscale`.
 ///   - The legacy split (`disagg.num_prefill_replicas` > 0) becomes a
@@ -129,14 +129,14 @@ ClusterScalingReport static_pools_report(const std::vector<PoolSpec>& pools,
 ///     Prefill slots come first, so round-robin over the role-masked slot
 ///     space visits replicas in the order a prefill-only domain would.
 ///
-/// Throws vidur::Error for the combinations only the legacy split rejects:
-/// autoscaling, no decode replica, and `threads` > 1. Structural checks of
-/// the result are validate_pools()'s.
+/// Owns the checks on the forms themselves: written pools with a top-level
+/// autoscale or a legacy split, and a legacy split that is negative, leaves
+/// no decode replica or autoscales. Throws vidur::Error; structural checks
+/// of the result are validate_pools()'s.
 std::vector<PoolSpec> lower_to_pools(std::vector<PoolSpec> pools,
                                      const std::string& sku_name,
                                      const ParallelConfig& parallel,
                                      const DisaggConfig& disagg,
-                                     const AutoscalerConfig& autoscale,
-                                     int threads);
+                                     const AutoscalerConfig& autoscale);
 
 }  // namespace vidur

@@ -2,11 +2,20 @@
 
 #include <sstream>
 
+#include "common/check.h"
+
 namespace vidur {
 
 std::vector<PoolSpec> DeploymentConfig::lowered_pools() const {
-  return lower_to_pools(pools, sku_name, parallel, disagg, autoscale,
-                        threads);
+  std::vector<PoolSpec> lowered =
+      lower_to_pools(pools, sku_name, parallel, disagg, autoscale);
+  VIDUR_CHECK_MSG(
+      pools.empty() || (sku_name == DeploymentConfig{}.sku_name &&
+                        parallel == ParallelConfig{}),
+      "deployment.pools supersedes the homogeneous sku/tensor_parallel/"
+      "pipeline_parallel/num_replicas fields; leave them at their "
+      "defaults (each pool carries its own)");
+  return lowered;
 }
 
 int DeploymentConfig::total_gpus() const {

@@ -53,7 +53,8 @@ struct DeploymentConfig {
   int threads = 1;
 
   /// The deployment as the engine runs it: lower_to_pools() of this config
-  /// (the homogeneous form and the legacy split become pools).
+  /// (the homogeneous form and the legacy split become pools). Also throws
+  /// when written `pools` leave `sku_name` or `parallel` off their defaults.
   std::vector<PoolSpec> lowered_pools() const;
 
   /// GPUs of every pool at its slot ceiling.

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 
@@ -103,6 +104,21 @@ void VidurSession::prepare_pools(SimulationConfig& sim) {
 
 namespace {
 
+/// A backend factory over the pools' slot layout: `for_pool` is called once
+/// per pool, up front, and each slot gets its backend from its pool's
+/// factory.
+BackendFactory per_pool_backends(
+    const std::vector<PoolSpec>& pools,
+    const std::function<BackendFactory(const PoolSpec&)>& for_pool) {
+  std::vector<BackendFactory> factories;
+  for (const PoolSpec& pool : pools) factories.push_back(for_pool(pool));
+  return [factories = std::move(factories),
+          slot_pool = pool_slot_layout(pools)](ReplicaId r) {
+    return factories[static_cast<std::size_t>(
+        slot_pool[static_cast<std::size_t>(r)])](r);
+  };
+}
+
 /// Fold the run's estimator-cache deltas into the registry snapshot, so the
 /// counters travel with every ExperimentResult like native registry state.
 void append_estimator_counters(SimulationMetrics& metrics) {
@@ -139,24 +155,16 @@ SimulationMetrics VidurSession::simulate(
   // distinct estimators backing this run carry its cache-traffic deltas
   // (pools sharing a SKU share one estimator).
   std::vector<const RuntimeEstimator*> used;
-  std::vector<const RuntimeEstimator*> estimators;
-  std::vector<ParallelConfig> parallels;
-  for (const PoolSpec& pool : sim_config.pools) {
-    const RuntimeEstimator* est = &estimator(pool.sku_name);
-    estimators.push_back(est);
-    parallels.push_back(pool.parallel);
-    if (std::find(used.begin(), used.end(), est) == used.end())
-      used.push_back(est);
-  }
-  BackendFactory factory = [estimators = std::move(estimators),
-                            parallels = std::move(parallels),
-                            slot_pool = pool_slot_layout(sim_config.pools),
-                            &model, cpu](ReplicaId r) {
-    const auto p =
-        static_cast<std::size_t>(slot_pool[static_cast<std::size_t>(r)]);
-    return std::make_unique<ExecutionTimePredictor>(estimators[p], model,
-                                                    parallels[p], cpu);
-  };
+  BackendFactory factory = per_pool_backends(
+      sim_config.pools, [&](const PoolSpec& pool) -> BackendFactory {
+        const RuntimeEstimator* est = &estimator(pool.sku_name);
+        if (std::find(used.begin(), used.end(), est) == used.end())
+          used.push_back(est);
+        return [est, &model, parallel = pool.parallel, cpu](ReplicaId) {
+          return std::make_unique<ExecutionTimePredictor>(est, model,
+                                                          parallel, cpu);
+        };
+      });
   std::size_t hits_before = 0, misses_before = 0;
   for (const RuntimeEstimator* est : used) {
     hits_before += est->cache_hits();
@@ -187,24 +195,17 @@ SimulationMetrics VidurSession::simulate_reference(
   const ModelSpec& model = model_;
   const CpuOverheadModel cpu = options_.cpu_overhead;
   prepare_pools(sim_config);
-  std::vector<NodeSpec> nodes;
-  std::vector<ParallelConfig> parallels;
-  for (const PoolSpec& pool : sim_config.pools) {
-    NodeSpec node = sim_config.node;
-    node.sku = sku_by_name(pool.sku_name);
-    nodes.push_back(node);
-    parallels.push_back(pool.parallel);
-  }
-  BackendFactory factory = [nodes = std::move(nodes),
-                            parallels = std::move(parallels),
-                            slot_pool = pool_slot_layout(sim_config.pools),
-                            &model, cpu, seed](ReplicaId replica) {
-    const auto p = static_cast<std::size_t>(
-        slot_pool[static_cast<std::size_t>(replica)]);
-    return std::make_unique<ReferenceExecutor>(
-        nodes[p], model, parallels[p], seed * 0x9e3779b97f4a7c15ULL + replica,
-        cpu);
-  };
+  BackendFactory factory = per_pool_backends(
+      sim_config.pools, [&](const PoolSpec& pool) -> BackendFactory {
+        NodeSpec node = sim_config.node;
+        node.sku = sku_by_name(pool.sku_name);
+        return [node, &model, parallel = pool.parallel, cpu,
+                seed](ReplicaId replica) {
+          return std::make_unique<ReferenceExecutor>(
+              node, model, parallel, seed * 0x9e3779b97f4a7c15ULL + replica,
+              cpu);
+        };
+      });
   Simulator sim(sim_config, trace, std::move(factory));
   // Reference runs are not counted as simulated GPU time: they represent
   // what the paper executes on the real testbed.

@@ -92,7 +92,8 @@ CapacityResult find_capacity(VidurSession& session,
   const ProbeTrace probe = make_probe_trace(workload, n, options.trace_seed);
 
   // Initial guess from an offline run: serve everything at once and read the
-  // service throughput off the makespan. This is an upper bound on capacity.
+  // service throughput off the makespan. Capacity can exceed it (see
+  // offline_throughput_qps), but the bracket below never probes above it.
   double offline_qps = offline_qps_hint;
   if (offline_qps <= 0.0) {
     offline_qps = offline_throughput_qps(session, config, workload, options);
@@ -111,7 +112,7 @@ CapacityResult find_capacity(VidurSession& session,
     return {probe_feasible(m, n, options), std::move(m)};
   };
 
-  // Bracket the capacity downward from the offline upper bound.
+  // Bracket the capacity downward from the offline guess.
   double lo = 0.0, hi = offline_qps;
   SimulationMetrics lo_metrics;
   {

@@ -21,7 +21,8 @@ struct CapacitySearchOptions {
   Seconds max_p99_scheduling_delay = 5.0;
   /// Binary-search refinement steps after bracketing.
   int binary_search_iters = 6;
-  /// Bracketing: at most this many halvings/doublings of the initial guess.
+  /// Bracketing: at most this many downward steps (x0.6 each) from the
+  /// initial guess; the search never probes above it.
   int max_bracket_steps = 10;
   /// Request-length / arrival randomness (shared across probes so that the
   /// feasible set is monotone in QPS).
@@ -44,10 +45,11 @@ struct CapacityResult {
 bool probe_feasible(const SimulationMetrics& metrics, int num_requests,
                     const CapacitySearchOptions& options);
 
-/// Offline (all-requests-at-t0) throughput of the deployment in QPS — a
-/// true upper bound on its capacity, used both as the binary search's
-/// initial guess and for branch-and-bound pruning in Vidur-Search.
-/// Returns 0 for infeasible deployments.
+/// Offline (all-requests-at-t0) throughput of the deployment in QPS, used
+/// both as the binary search's initial guess and as the branch-and-bound
+/// pruning heuristic in Vidur-Search. It is not a true upper bound:
+/// sustainable capacity has been measured 25-50% above it. Returns 0 for
+/// infeasible deployments.
 double offline_throughput_qps(VidurSession& session,
                               const DeploymentConfig& config,
                               const TraceSpec& workload,

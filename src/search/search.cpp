@@ -119,7 +119,9 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
 
   // Phase 2 (branch and bound): visit configs in descending upper-bound
   // QPS/$ order; skip a config when even its upper bound cannot beat the
-  // best SLO-compliant capacity QPS/$ already found. Exact for best().
+  // best SLO-compliant capacity QPS/$ already found. The "bound" is the
+  // offline-throughput heuristic, not a true bound, so best() can miss a
+  // config whose capacity exceeds its offline throughput.
   std::vector<double> upper_bound(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i)
     upper_bound[i] = offline_qps[i] / configs[i].cost_per_hour();

@@ -16,7 +16,7 @@ namespace {
 /// the homogeneous fields afterwards.
 SimulationConfig lowered(SimulationConfig c) {
   c.pools = lower_to_pools(std::move(c.pools), c.node.sku.name, c.parallel,
-                           c.disagg, c.autoscale, c.threads);
+                           c.disagg, c.autoscale);
   return c;
 }
 

@@ -225,6 +225,66 @@ TEST(ExperimentSpecValidate, DisaggPlusAutoscaleConflict) {
   expect_invalid(spec, "cannot be combined");
 }
 
+// validate() checks the pools a deployment lowers to, so what run_experiment
+// would reject after onboarding is rejected up front, in the same words.
+TEST(ExperimentSpecValidate, HomogeneousFloorAboveSlotsIsRejected) {
+  ExperimentSpec spec;
+  spec.with_parallelism(1, 1, 3);
+  spec.deployment.autoscale.kind = AutoscalerKind::kReactive;
+  spec.deployment.autoscale.min_replicas = 5;
+  expect_invalid(spec,
+                 "pool 'fleet': autoscale.min_replicas (5) exceeds the "
+                 "pool's 3 slots");
+}
+
+TEST(ExperimentSpecValidate, LegacySplitWithoutDecodeReplicaIsRejected) {
+  ExperimentSpec spec;
+  spec.with_parallelism(1, 1, 4);
+  spec.deployment.disagg.num_prefill_replicas = 4;
+  expect_invalid(spec, "disaggregation requires at least one decode replica");
+  spec.deployment.disagg.num_prefill_replicas = -1;
+  expect_invalid(spec, "num_prefill_replicas must be >= 0");
+}
+
+TEST(ExperimentSpecValidate, ResizedFleetsAreCheckedAtTheirLargestSize) {
+  // A num_replicas sweep axis and elastic_plan size the homogeneous fleet
+  // themselves, so the written size alone does not bound the checks.
+  ExperimentSpec sweep;
+  sweep.deployment.disagg.num_prefill_replicas = 2;
+  sweep.sweep.num_replicas = {2, 4};
+  EXPECT_NO_THROW(sweep.validate());
+  sweep.sweep.num_replicas = {2};
+  expect_invalid(sweep, "at least one decode replica");
+
+  ExperimentSpec plan;
+  plan.with_mode(ExperimentMode::kElasticPlan)
+      .with_scenario("flash-crowd-mixed");
+  plan.deployment.autoscale.kind = AutoscalerKind::kReactive;
+  plan.deployment.autoscale.min_replicas = 2;  // above num_replicas 1
+  EXPECT_NO_THROW(plan.validate());
+}
+
+TEST(ExperimentSpecValidate, FaultTargetsNameLoweredPools) {
+  FaultProfile degrade;
+  degrade.degrade_mtbf_s = 30.0;
+  degrade.degrade_factor = 2.0;
+  degrade.degrade_duration_s = 5.0;
+  FaultConfig faults;
+  faults.profiles = {degrade};
+
+  ExperimentSpec spec;
+  spec.with_parallelism(1, 1, 4);
+  spec.deployment.disagg.num_prefill_replicas = 1;
+  for (const char* target : {"", "fleet", "prefill", "decode"}) {
+    faults.profiles[0].pool = target;
+    spec.with_faults(faults);
+    EXPECT_NO_THROW(spec.validate()) << "target '" << target << "'";
+  }
+  faults.profiles[0].pool = "decod";
+  spec.with_faults(faults);
+  expect_invalid(spec, "did you mean 'decode'?");
+}
+
 TEST(ExperimentSpecValidate, CapacitySearchRejectsScenarioWorkload) {
   ExperimentSpec spec;
   spec.with_mode(ExperimentMode::kCapacitySearch)

@@ -256,6 +256,23 @@ TEST(PoolLowering, LegacySpecsEqualTheirPoolTwins) {
   }
 }
 
+TEST(PoolLowering, LegacySpecsAnalyzeLikeTheirPoolTwins) {
+  // The analysis engine labels replicas with the lowered pools' names, so
+  // the legacy split reports the same per-pool breakdown as its twin.
+  for (const LoweringCase& c : kCases) {
+    SCOPED_TRACE(c.fixture);
+    ExperimentSpec legacy = c.legacy();
+    ExperimentSpec pools = c.pools();
+    legacy.obs.analyze = pools.obs.analyze = true;
+    const ExperimentResult a = run_experiment(legacy);
+    const ExperimentResult b = run_experiment(pools);
+    ASSERT_FALSE(a.failed()) << a.error;
+    ASSERT_FALSE(b.failed()) << b.error;
+    ASSERT_TRUE(a.has_analysis());
+    EXPECT_EQ(a.analysis.dump(), b.analysis.dump());
+  }
+}
+
 TEST(PoolLowering, OnePoolTp2FleetMatchesItsHomogeneousTwin) {
   // Fleet MBU divides per-GPU HBM bytes by per-GPU bandwidth and bills
   // energy at each batch's own per-GPU intensity, whatever form the
