@@ -265,6 +265,18 @@ void ExperimentSpec::validate() const {
                   "not others; set it on every pool or on none (unset "
                   "capacities are derived from the estimator)");
   deployment.scheduler.validate();
+  // The KV hand-off between roles, for the legacy split and written pools
+  // alike.
+  if (pools_disaggregated(pools)) {
+    const DisaggConfig& d = deployment.disagg;
+    VIDUR_CHECK_MSG(d.transfer_bandwidth_gbps > 0,
+                    "deployment.disagg.transfer_bandwidth_gbps must be > 0 "
+                    "for prefill/decode pools (got "
+                        << d.transfer_bandwidth_gbps << ")");
+    VIDUR_CHECK_MSG(d.transfer_latency >= 0,
+                    "deployment.disagg.transfer_latency_s must be >= 0 (got "
+                        << d.transfer_latency << ")");
+  }
 
   // ---- prefix cache ----
   deployment.prefix_cache.validate();

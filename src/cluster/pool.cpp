@@ -64,7 +64,7 @@ int PoolSpec::initial_active() const {
 void PoolSpec::validate() const {
   VIDUR_CHECK_MSG(!name.empty(), "pool needs a non-empty name");
   sku_by_name(sku_name);  // throws for unknown SKUs
-  parallel.validate();
+  parallel.validate("pool '" + name + "': ");
   VIDUR_CHECK_MSG(cost_per_gpu_hour >= 0,
                   "pool '" << name << "' has a negative cost_per_gpu_hour ("
                            << cost_per_gpu_hour

@@ -3,6 +3,8 @@
 // profiler, memory planner and execution predictor all share.
 #pragma once
 
+#include <string>
+
 #include "common/check.h"
 #include "common/types.h"
 #include "model/model_spec.h"
@@ -17,10 +19,18 @@ struct ParallelConfig {
   int gpus_per_replica() const { return tensor_parallel * pipeline_parallel; }
   int total_gpus() const { return gpus_per_replica() * num_replicas; }
 
-  void validate() const {
-    VIDUR_CHECK(tensor_parallel >= 1);
-    VIDUR_CHECK(pipeline_parallel >= 1);
-    VIDUR_CHECK(num_replicas >= 1);
+  /// Every degree and the replica count must be >= 1. `where` prefixes the
+  /// message (e.g. "pool 'fleet': ").
+  void validate(const std::string& where = {}) const {
+    VIDUR_CHECK_MSG(tensor_parallel >= 1,
+                    where << "tensor_parallel must be >= 1 (got "
+                          << tensor_parallel << ")");
+    VIDUR_CHECK_MSG(pipeline_parallel >= 1,
+                    where << "pipeline_parallel must be >= 1 (got "
+                          << pipeline_parallel << ")");
+    VIDUR_CHECK_MSG(num_replicas >= 1,
+                    where << "num_replicas must be >= 1 (got " << num_replicas
+                          << ")");
   }
 
   /// Layers resident on one pipeline stage (model layers split evenly; the

@@ -63,6 +63,15 @@ MetricsCollector::MetricsCollector(int num_replicas,
 
 namespace {
 
+/// A `request.*` registry entry: exact order statistics of `s`, with the
+/// in-order sum (zeros when empty).
+RegistrySnapshot::HistogramEntry request_entry(std::string name,
+                                               const SampleSeries& s) {
+  const Summary sum = Summary::of(s);
+  return {std::move(name), sum.count, s.sum(), sum.mean, sum.p50, sum.p90,
+          sum.p99, sum.max};
+}
+
 /// Linear power model: intensity is the batch's per-GPU FLOP or bandwidth
 /// utilization, whichever dominates (roofline-style).
 double batch_energy_joules(const BatchRecord& record, double duration,
@@ -116,13 +125,65 @@ void MetricsCollector::record_batch(const BatchRecord& record) {
   acc.busy_energy_joules += energy;
 }
 
-void MetricsCollector::set_tenants(std::vector<TenantInfo> tenants) {
-  for (const TenantInfo& t : tenants) VIDUR_CHECK(t.id >= 0);
-  tenants_ = std::move(tenants);
+void MetricsCollector::set_tenants(const std::vector<TenantInfo>& tenants) {
+  VIDUR_CHECK_MSG(num_requests_ == 0,
+                  "set_tenants must precede the first record_request ("
+                      << num_requests_ << " requests already folded)");
+  tenant_accs_.clear();
+  // SLO-carrying tenants get a row even with no traffic; a repeated id
+  // keeps its last identity.
+  for (const TenantInfo& t : tenants) {
+    VIDUR_CHECK(t.id >= 0);
+    tenant_accs_[t.id].info = t;
+  }
+  tagged_ = !tenants.empty();
 }
 
 void MetricsCollector::record_request(const RequestRecord& record) {
-  requests_.push_back(record);
+  ++num_requests_;
+  if (!tagged_ && record.tenant != 0) {
+    // Untagged so far, every request was tenant 0's: its series are the
+    // fleet's, which it takes over instead of keeping a second copy.
+    tagged_ = true;
+    const auto zero = tenant_accs_.find(0);
+    if (zero != tenant_accs_.end()) {
+      zero->second.delay = delay_;
+      zero->second.ttft = ttft_;
+    }
+  }
+  const auto [it, added] = tenant_accs_.try_emplace(record.tenant);
+  TenantAcc& acc = it->second;
+  if (added) {
+    acc.info.id = record.tenant;
+    acc.info.name = "tenant" + std::to_string(record.tenant);
+  }
+  ++acc.num_requests;
+  if (acc.info.slo.enabled()) {
+    const bool met = meets_slo(record, acc.info.slo);
+    acc.num_slo_met += met ? 1 : 0;
+    // Shed and lost requests never completed: they are misses on the
+    // impacted side. A request cut off by max_sim_time gets no verdict.
+    if (record.completed() || record.shed || record.lost) {
+      SloSplit& split = record.fault_impacted() ? slo_impacted_ : slo_clean_;
+      ++split.total;
+      split.met += met ? 1 : 0;
+    }
+  }
+  if (!record.completed()) return;
+  num_restarts_ += record.num_restarts;
+  output_tokens_ += record.decode_tokens;
+  delay_.add(record.scheduling_delay());
+  ttft_.add(record.ttft());
+  e2e_.add(record.e2e_latency());
+  if (record.worst_tbt() >= 0) worst_tbt_.add(record.worst_tbt());
+  norm_e2e_.add(record.normalized_e2e_latency());
+  norm_exec_.add(record.normalized_execution_latency());
+  ++acc.num_completed;
+  acc.output_tokens += record.decode_tokens;
+  if (tagged_) {
+    acc.delay.add(record.scheduling_delay());
+    acc.ttft.add(record.ttft());
+  }
 }
 
 void MetricsCollector::record_tbt(TenantId tenant,
@@ -153,32 +214,28 @@ SimulationMetrics MetricsCollector::finalize(
     Seconds now, const ClusterScalingReport& scaling) const {
   SimulationMetrics m;
   m.scaling = scaling;
-  m.num_requests = requests_.size();
+  m.num_requests = num_requests_;
+  m.num_completed = delay_.count();
+  m.num_restarts = num_restarts_;
   m.makespan = now;
 
-  SampleSeries delay, ttft, norm_e2e, norm_exec;
-  TokenCount output_tokens = 0;
-  for (const auto& r : requests_) {
-    if (!r.completed()) continue;
-    ++m.num_completed;
-    m.num_restarts += r.num_restarts;
-    delay.add(r.scheduling_delay());
-    ttft.add(r.ttft());
-    norm_e2e.add(r.normalized_e2e_latency());
-    norm_exec.add(r.normalized_execution_latency());
-    output_tokens += r.decode_tokens;
-  }
   LatencyDistribution tbt;
   for (const auto& [tenant, gaps] : tbt_by_tenant_) tbt.merge(gaps);
-  m.scheduling_delay = Summary::of(delay);
-  m.ttft = Summary::of(ttft);
+  m.scheduling_delay = Summary::of(delay_);
+  m.ttft = Summary::of(ttft_);
   m.tbt = Summary::of(tbt);
-  m.normalized_e2e_latency = Summary::of(norm_e2e);
-  m.normalized_execution_latency = Summary::of(norm_exec);
+  m.normalized_e2e_latency = Summary::of(norm_e2e_);
+  m.normalized_execution_latency = Summary::of(norm_exec_);
+  // Sorted by name, as a registry snapshot is.
+  m.registry.histograms = {request_entry("request.e2e_s", e2e_),
+                           request_entry("request.tbt_worst_s", worst_tbt_),
+                           request_entry("request.ttft_s", ttft_)};
+  m.resilience.slo_attainment_clean = slo_clean_.attainment();
+  m.resilience.slo_attainment_impacted = slo_impacted_.attainment();
 
   if (now > 0) {
     m.throughput_qps = static_cast<double>(m.num_completed) / now;
-    m.output_tokens_per_sec = static_cast<double>(output_tokens) / now;
+    m.output_tokens_per_sec = static_cast<double>(output_tokens_) / now;
     const int slots = static_cast<int>(pool_of_slot_.size());
     m.busy_fraction = total_busy_time_ / (now * slots);
     // Fleet MFU over the summed peak FLOPs; MBU over the summed per-GPU
@@ -216,9 +273,9 @@ SimulationMetrics MetricsCollector::finalize(
     if (bandwidth > 0) m.mbu = total_hbm_bytes_ / bandwidth;
     if (energy) {
       m.total_energy_joules = busy_energy_joules_ + std::max(0.0, idle_joules);
-      if (output_tokens > 0)
+      if (output_tokens_ > 0)
         m.energy_per_output_token =
-            m.total_energy_joules / static_cast<double>(output_tokens);
+            m.total_energy_joules / static_cast<double>(output_tokens_);
       m.mean_cluster_power_watts = m.total_energy_joules / now;
     }
   }
@@ -257,42 +314,10 @@ SimulationMetrics MetricsCollector::finalize(
   }
 
   // ---- per-tenant breakdown ----
-  bool tagged = !tenants_.empty();
-  for (const auto& r : requests_) tagged = tagged || r.tenant != 0;
-  if (tagged) {
-    struct TenantAcc {
-      SampleSeries delay, ttft;
-      std::size_t num_requests = 0, num_completed = 0, num_slo_met = 0;
-      TokenCount output_tokens = 0;
-    };
-    std::map<TenantId, TenantAcc> accs;
-    std::map<TenantId, const TenantInfo*> infos;
-    for (const TenantInfo& t : tenants_) {
-      infos[t.id] = &t;
-      accs[t.id];  // SLO-carrying tenants get a row even with no traffic
-    }
-    for (const auto& r : requests_) {
-      TenantAcc& acc = accs[r.tenant];
-      ++acc.num_requests;
-      const auto it = infos.find(r.tenant);
-      const SloSpec* slo = it != infos.end() ? &it->second->slo : nullptr;
-      if (slo != nullptr && slo->enabled() && meets_slo(r, *slo))
-        ++acc.num_slo_met;
-      if (!r.completed()) continue;
-      ++acc.num_completed;
-      acc.delay.add(r.scheduling_delay());
-      acc.ttft.add(r.ttft());
-      acc.output_tokens += r.decode_tokens;
-    }
-    for (const auto& [id, acc] : accs) {
+  if (tagged_) {
+    for (const auto& [id, acc] : tenant_accs_) {
       SimulationMetrics::TenantMetrics tm;
-      const auto it = infos.find(id);
-      if (it != infos.end()) {
-        tm.info = *it->second;
-      } else {
-        tm.info.id = id;
-        tm.info.name = "tenant" + std::to_string(id);
-      }
+      tm.info = acc.info;
       tm.num_requests = acc.num_requests;
       tm.num_completed = acc.num_completed;
       tm.scheduling_delay = Summary::of(acc.delay);

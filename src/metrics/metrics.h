@@ -202,7 +202,10 @@ struct ResilienceMetrics {
   Seconds mttr_s = 0.0;          ///< mean kill -> replacement-active time
   // SLO attainment, fault-blame split: `clean` counts only requests no
   // fault touched; `impacted` counts only touched ones (shed/lost = miss).
-  // -1 when the slice is empty or no tenant carries an SLO.
+  // Requests cut off with no verdict (neither completed, shed nor lost)
+  // count on neither side. -1 when the slice is empty or no tenant carries
+  // an SLO. The collector fills both for every run; `enabled` decides
+  // whether they are reported.
   double slo_attainment_clean = -1.0;
   double slo_attainment_impacted = -1.0;
 };
@@ -268,9 +271,10 @@ struct SimulationMetrics {
   /// timeline when an autoscaler managed the replicas (src/cluster/).
   ClusterScalingReport scaling;
 
-  /// Final observability-registry state: every counter/gauge/histogram the
-  /// simulator, schedulers and cluster manager maintained during the run
-  /// (src/obs/registry.h). Always filled by the simulator.
+  /// Final observability-registry state (src/obs/registry.h): every
+  /// counter and gauge the simulator, schedulers and cluster manager
+  /// maintained during the run, plus the exact `request.*` latency
+  /// summaries the collector folds. Always filled by the simulator.
   RegistrySnapshot registry;
 
   /// Rolling windowed metric tracks ("cluster", "tenant:<name>",
@@ -309,8 +313,10 @@ struct SimulationMetrics {
   std::string to_string() const;
 };
 
-/// Collects request records, streaming batch accumulators and per-tenant
-/// TBT distributions during a run and aggregates them at the end.
+/// Folds each request record once, as it arrives, into exact per-request
+/// series, per-tenant accumulators and the fault-blame SLO split; keeps
+/// streaming batch accumulators and per-tenant TBT distributions; and
+/// aggregates them all at the end. Records are not retained.
 class MetricsCollector {
  public:
   /// `pools` carries each pool's rates, in pool order (the scaling report's
@@ -324,10 +330,13 @@ class MetricsCollector {
 
   /// Register tenant identities for per-tenant attribution. Records tagged
   /// with an unregistered tenant id still get a breakdown row under a
-  /// generated name. May be called at any time before finalize().
-  void set_tenants(std::vector<TenantInfo> tenants);
+  /// generated name. Must precede the first record_request(): the fold
+  /// judges each request against its tenant's SLO as it arrives.
+  void set_tenants(const std::vector<TenantInfo>& tenants);
 
   void record_batch(const BatchRecord& record);
+  /// Fold one terminal (or cut-off) request. Fleet series keep the order
+  /// of the calls, so the caller fixes the summaries' summation order.
   void record_request(const RequestRecord& record);
   /// Add one replica's inter-token gaps of `tenant`'s completed requests.
   /// The fleet TBT is every tenant's gaps together.
@@ -335,7 +344,10 @@ class MetricsCollector {
   /// Accumulate one stage execution's per-operator time attribution.
   void record_operators(const std::map<OpType, Seconds>& per_op);
 
-  /// Aggregate. `now` is the simulation end time (makespan); `scaling` is
+  /// Aggregate. Fills the registry snapshot's `request.ttft_s`,
+  /// `request.tbt_worst_s` and `request.e2e_s` entries (exact, from the
+  /// same series as the summaries); the caller adds counters and gauges.
+  /// `now` is the simulation end time (makespan); `scaling` is
   /// the fleet's scaling report, attached to the result. Idle energy is
   /// billed on the fleet's paid GPU-time — an autoscaled run pays idle
   /// watts only while a replica is up — with one fleet-wide clamp, and the
@@ -356,14 +368,39 @@ class MetricsCollector {
     double busy_energy_joules = 0.0;
   };
 
+  /// One tenant's share of the request fold. The series fill only once
+  /// the run is tagged; until then they would copy the fleet's.
+  struct TenantAcc {
+    TenantInfo info;
+    SampleSeries delay, ttft;
+    std::size_t num_requests = 0, num_completed = 0, num_slo_met = 0;
+    TokenCount output_tokens = 0;
+  };
+  /// Requests of SLO-carrying tenants with a verdict, and how many met it.
+  struct SloSplit {
+    std::int64_t total = 0, met = 0;
+    double attainment() const {
+      return total > 0 ? static_cast<double>(met) / static_cast<double>(total)
+                       : -1.0;
+    }
+  };
+
   std::vector<PoolResources> pools_;
   std::vector<int> pool_of_slot_;
   std::vector<int> pool_slots_;  ///< slot count per pool
   /// Every pool has the same rates: the fleet is one block of identical
   /// slots and takes the homogeneous arithmetic, bit for bit.
   bool uniform_ = true;
-  std::vector<TenantInfo> tenants_;
-  std::vector<RequestRecord> requests_;
+  /// Tenants were registered or a record carried a non-zero tenant: the
+  /// result gets a per-tenant breakdown.
+  bool tagged_ = false;
+  // The request fold. Series hold completed requests in record order.
+  std::size_t num_requests_ = 0;
+  std::int64_t num_restarts_ = 0;
+  TokenCount output_tokens_ = 0;
+  SampleSeries delay_, ttft_, e2e_, worst_tbt_, norm_e2e_, norm_exec_;
+  std::map<TenantId, TenantAcc> tenant_accs_;
+  SloSplit slo_clean_, slo_impacted_;
   std::map<TenantId, LatencyDistribution> tbt_by_tenant_;
   std::vector<PoolAcc> pool_accs_;
   // Streaming replica-level accumulators (batch records are not retained).

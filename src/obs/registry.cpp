@@ -1,57 +1,6 @@
 #include "obs/registry.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace vidur {
-
-namespace {
-
-/// Lower bound of bucket i: kMinSeconds * 2^(i / kBucketsPerOctave).
-double bucket_lower(int i) {
-  return LatencyHistogram::kMinSeconds *
-         std::exp2(static_cast<double>(i) /
-                   LatencyHistogram::kBucketsPerOctave);
-}
-
-int bucket_of(Seconds seconds) {
-  if (seconds <= LatencyHistogram::kMinSeconds) return 0;
-  const int i = static_cast<int>(
-      std::floor(std::log2(seconds / LatencyHistogram::kMinSeconds) *
-                 LatencyHistogram::kBucketsPerOctave));
-  return std::clamp(i, 0, LatencyHistogram::kNumBuckets - 1);
-}
-
-}  // namespace
-
-void LatencyHistogram::record(Seconds seconds) {
-  if (seconds < 0.0 || !std::isfinite(seconds)) return;
-  ++buckets_[bucket_of(seconds)];
-  ++count_;
-  sum_ += seconds;
-  max_ = std::max(max_, seconds);
-}
-
-double LatencyHistogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    const double before = static_cast<double>(seen);
-    seen += buckets_[i];
-    if (static_cast<double>(seen) < target) continue;
-    // Interpolate within the bucket; clamp the upper edge to the observed
-    // maximum so q=1 returns max_seen(), not a bucket boundary above it.
-    const double lo = i == 0 ? 0.0 : bucket_lower(i);
-    const double hi = std::min(bucket_lower(i + 1), std::max(max_, lo));
-    const double frac =
-        (target - before) / static_cast<double>(buckets_[i]);
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-  }
-  return max_;
-}
 
 std::uint64_t RegistrySnapshot::counter(const std::string& name) const {
   for (const CounterEntry& c : counters)
@@ -64,18 +13,6 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : counters_)
     s.counters.push_back({name, c.value});
   for (const auto& [name, g] : gauges_) s.gauges.push_back({name, g.value});
-  for (const auto& [name, h] : histograms_) {
-    RegistrySnapshot::HistogramEntry e;
-    e.name = name;
-    e.count = h.count();
-    e.sum = h.sum();
-    e.mean = h.mean();
-    e.p50 = h.quantile(0.50);
-    e.p90 = h.quantile(0.90);
-    e.p99 = h.quantile(0.99);
-    e.max = h.max_seen();
-    s.histograms.push_back(std::move(e));
-  }
   return s;
 }
 

@@ -1,20 +1,20 @@
-// MetricsRegistry: named counters, gauges and fixed-bucket latency
-// histograms threaded through the simulator, schedulers and cluster
-// manager (observability subsystem).
+// MetricsRegistry: named counters and gauges threaded through the
+// simulator, schedulers and cluster manager (observability subsystem).
 //
 // Handles are resolved by name once (map-backed, node-stable addresses) and
 // incremented through plain pointers on the hot path — no string hashing
 // per event. A RegistrySnapshot is a plain value embedded in
 // SimulationMetrics, so every ExperimentResult carries the registry's final
-// state without holding a reference to the registry itself.
+// state without holding a reference to the registry itself. Its
+// `histograms` hold the `request.*` latency summaries, which are not
+// registry state: the MetricsCollector fills them with exact order
+// statistics of its per-request series (src/metrics/metrics.h).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
-
-#include "common/types.h"
 
 namespace vidur {
 
@@ -30,34 +30,6 @@ struct Gauge {
   void set(double v) { value = v; }
 };
 
-/// HDR-style latency histogram: 96 logarithmic buckets, 4 per octave,
-/// spanning 1µs to ~16.7s (larger values land in the top bucket). Fixed
-/// footprint, O(1) record, quantiles via within-bucket linear interpolation
-/// (bounded relative error ~19%, the inter-bucket ratio 2^(1/4)).
-class LatencyHistogram {
- public:
-  static constexpr int kBucketsPerOctave = 4;
-  static constexpr int kNumBuckets = 96;
-  static constexpr double kMinSeconds = 1e-6;
-
-  void record(Seconds seconds);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const {
-    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-  double max_seen() const { return max_; }
-  /// Value at quantile q in [0, 1] (0 when empty).
-  double quantile(double q) const;
-
- private:
-  std::uint64_t buckets_[kNumBuckets] = {};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Final registry state as plain sorted vectors (by name).
 struct RegistrySnapshot {
   struct CounterEntry {
@@ -68,6 +40,7 @@ struct RegistrySnapshot {
     std::string name;
     double value = 0.0;
   };
+  /// Exact summary of one per-request latency series (0s when empty).
   struct HistogramEntry {
     std::string name;
     std::uint64_t count = 0;
@@ -96,16 +69,13 @@ class MetricsRegistry {
   /// for the registry's lifetime (node-based storage).
   Counter* counter(const std::string& name) { return &counters_[name]; }
   Gauge* gauge(const std::string& name) { return &gauges_[name]; }
-  LatencyHistogram* histogram(const std::string& name) {
-    return &histograms_[name];
-  }
 
+  /// Counters and gauges; `histograms` is left empty.
   RegistrySnapshot snapshot() const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, LatencyHistogram> histograms_;
 };
 
 }  // namespace vidur

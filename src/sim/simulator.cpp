@@ -73,8 +73,13 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
   validate_pools(config_.pools);
   const bool disaggregated = pools_disaggregated(config_.pools);
   if (disaggregated) {
-    VIDUR_CHECK(config_.disagg.transfer_bandwidth_gbps > 0);
-    VIDUR_CHECK(config_.disagg.transfer_latency >= 0);
+    VIDUR_CHECK_MSG(config_.disagg.transfer_bandwidth_gbps > 0,
+                    "disagg.transfer_bandwidth_gbps must be > 0 for "
+                    "role-disaggregated pools (got "
+                        << config_.disagg.transfer_bandwidth_gbps << ")");
+    VIDUR_CHECK_MSG(config_.disagg.transfer_latency >= 0,
+                    "disagg.transfer_latency_s must be >= 0 (got "
+                        << config_.disagg.transfer_latency << ")");
   }
 
   VIDUR_CHECK_MSG(config_.threads >= 1,
@@ -391,28 +396,19 @@ void Simulator::setup_observability() {
   }
   if (cluster_) cluster_->set_obs(trace_rec_, registry_);
 
-  // The tenant -> SLO map serves both the rolling windows and the
-  // resilience SLO-attainment split, so it is built unconditionally.
-  {
-    TenantId max_id = -1;
-    for (const TenantInfo& t : config_.tenants)
-      max_id = std::max(max_id, t.id);
-    if (max_id >= 0)
-      tenant_slo_by_id_.assign(static_cast<std::size_t>(max_id) + 1, nullptr);
-    for (const TenantInfo& t : config_.tenants)
-      if (t.id >= 0) tenant_slo_by_id_[static_cast<std::size_t>(t.id)] = &t.slo;
-  }
-
   if (config_.obs.rolling_window_s > 0) {
     std::vector<std::string> names;
     names.push_back("cluster");
     TenantId max_id = -1;
     for (const TenantInfo& t : config_.tenants)
       max_id = std::max(max_id, t.id);
-    if (max_id >= 0)
+    if (max_id >= 0) {
       tenant_track_by_id_.assign(static_cast<std::size_t>(max_id) + 1, -1);
+      tenant_slo_by_id_.assign(static_cast<std::size_t>(max_id) + 1, nullptr);
+    }
     for (const TenantInfo& t : config_.tenants) {
       if (t.id < 0) continue;
+      tenant_slo_by_id_[static_cast<std::size_t>(t.id)] = &t.slo;
       tenant_track_by_id_[static_cast<std::size_t>(t.id)] =
           static_cast<int>(names.size());
       names.push_back("tenant:" + t.name);
@@ -594,19 +590,6 @@ SimulationMetrics Simulator::run() {
   const ClusterScalingReport report =
       cluster_ ? cluster_->report(end_time)
                : static_pools_report(config_.pools, end_time);
-  // Final registry state: per-request latency histograms plus engine-level
-  // gauges, then the snapshot travels with the metrics.
-  LatencyHistogram* ttft_hist = registry_->histogram("request.ttft_s");
-  LatencyHistogram* tbt_hist = registry_->histogram("request.tbt_worst_s");
-  LatencyHistogram* e2e_hist = registry_->histogram("request.e2e_s");
-  for (const RequestState& state : states_) {
-    const RequestRecord& rec = state.record;
-    if (!rec.completed()) continue;
-    ttft_hist->record(rec.ttft());
-    e2e_hist->record(rec.e2e_latency());
-    const Seconds worst_tbt = rec.worst_tbt();
-    if (worst_tbt >= 0) tbt_hist->record(worst_tbt);
-  }
   registry_->counter("sim.events")->value = num_events;
   registry_->gauge("sim.makespan_s")->set(end_time);
 
@@ -615,7 +598,11 @@ SimulationMetrics Simulator::run() {
     aggregate_prefix_cache(metrics.prefix_cache);
   if (config_.faults.enabled()) aggregate_resilience(metrics.resilience);
   metrics.num_sim_events = num_events;
-  metrics.registry = registry_->snapshot();
+  // The registry's counters and gauges join the collector's exact
+  // `request.*` summaries.
+  RegistrySnapshot registry = registry_->snapshot();
+  registry.histograms = std::move(metrics.registry.histograms);
+  metrics.registry = std::move(registry);
   if (rolling_) metrics.rolling = rolling_->finalize(end_time);
   return metrics;
 }
@@ -1199,35 +1186,6 @@ void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
   out.num_repairs = num_repairs_;
   out.mttr_s =
       num_repairs_ > 0 ? mttr_sum_ / static_cast<double>(num_repairs_) : 0.0;
-  // SLO attainment split: requests of SLO-carrying tenants, fault-impacted
-  // (retried / handed off / shed / lost) vs clean. Shed and lost requests
-  // never completed — they count as missed on the impacted side, which is
-  // what makes the with-vs-without-faults delta honest.
-  std::int64_t clean_total = 0, clean_met = 0, impacted_total = 0,
-               impacted_met = 0;
-  for (const RequestState& state : states_) {
-    const RequestRecord& rec = state.record;
-    const SloSpec* slo = tenant_slo(rec.tenant);
-    if (slo == nullptr || !slo->enabled()) continue;
-    // Never finished for another reason (max_sim_time cutoff): no verdict.
-    if (!rec.completed() && !rec.shed && !rec.lost) continue;
-    const bool met = meets_slo(rec, *slo);
-    if (rec.fault_impacted()) {
-      ++impacted_total;
-      impacted_met += met ? 1 : 0;
-    } else {
-      ++clean_total;
-      clean_met += met ? 1 : 0;
-    }
-  }
-  out.slo_attainment_clean =
-      clean_total > 0
-          ? static_cast<double>(clean_met) / static_cast<double>(clean_total)
-          : -1.0;
-  out.slo_attainment_impacted =
-      impacted_total > 0 ? static_cast<double>(impacted_met) /
-                               static_cast<double>(impacted_total)
-                         : -1.0;
   // The registry snapshot carries the same tallies for dashboards.
   registry_->counter("faults.crashes")->value =
       static_cast<std::uint64_t>(out.num_crashes);

@@ -304,14 +304,15 @@ class Simulator {
   /// Priority of a request's tenant (untagged tenants are priority 0).
   int tenant_priority(TenantId tenant) const;
   /// Fill metrics.resilience from the injector log + recovery tallies and
-  /// mirror it into the `faults.*` registry counters.
+  /// mirror it into the `faults.*` registry counters. The SLO split is
+  /// the collector's, already in `out`.
   void aggregate_resilience(ResilienceMetrics& out) const;
 
   // ---- observability (src/obs/) ----
   /// Wire the registry/trace/rolling attachments; called once from the
   /// constructor after replicas and cluster manager exist.
   void setup_observability();
-  /// SLO of a tenant, or nullptr when it carries none.
+  /// SLO of a tenant; nullptr when it carries none or rolling is off.
   const SloSpec* tenant_slo(TenantId tenant) const;
   /// Rolling track of a tenant, or -1 when rolling is off / unmapped.
   int tenant_track(TenantId tenant) const;

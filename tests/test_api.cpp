@@ -246,6 +246,50 @@ TEST(ExperimentSpecValidate, LegacySplitWithoutDecodeReplicaIsRejected) {
   expect_invalid(spec, "num_prefill_replicas must be >= 0");
 }
 
+TEST(ExperimentSpecValidate, KvTransferFieldsAreCheckedForEveryDisaggForm) {
+  // The legacy split and written prefill/decode pools lower to the same
+  // pools, so both get the engine's KV hand-off checks up front.
+  ExperimentSpec split;
+  split.with_parallelism(1, 1, 4);
+  split.deployment.disagg.num_prefill_replicas = 2;
+  split.deployment.disagg.transfer_bandwidth_gbps = 0.0;
+  expect_invalid(split, "disagg.transfer_bandwidth_gbps must be > 0");
+  split.deployment.disagg.transfer_bandwidth_gbps = 25.0;
+  split.deployment.disagg.transfer_latency = -1e-3;
+  expect_invalid(split, "disagg.transfer_latency_s must be >= 0");
+
+  ExperimentSpec pools;
+  PoolSpec prefill, decode;
+  prefill.name = "prefill";
+  prefill.role = PoolRole::kPrefill;
+  decode.name = "decode";
+  decode.role = PoolRole::kDecode;
+  pools.deployment.pools = {prefill, decode};
+  EXPECT_NO_THROW(pools.validate());
+  pools.deployment.disagg.transfer_bandwidth_gbps = 0.0;
+  expect_invalid(pools, "disagg.transfer_bandwidth_gbps must be > 0");
+
+  // A unified fleet hands nothing off, so the fields are not read.
+  ExperimentSpec unified;
+  unified.deployment.disagg.transfer_bandwidth_gbps = 0.0;
+  EXPECT_NO_THROW(unified.validate());
+}
+
+TEST(ExperimentSpecValidate, ParallelismErrorsNameThePoolAndField) {
+  ExperimentSpec spec;
+  spec.with_parallelism(1, 1, 0);
+  expect_invalid(spec, "pool 'fleet': num_replicas must be >= 1 (got 0)");
+  spec.with_parallelism(1, 0, 1);
+  expect_invalid(spec, "pool 'fleet': pipeline_parallel must be >= 1 (got 0)");
+
+  ExperimentSpec pools;
+  PoolSpec big;
+  big.name = "big";
+  big.parallel.tensor_parallel = 0;
+  pools.deployment.pools = {big};
+  expect_invalid(pools, "pool 'big': tensor_parallel must be >= 1 (got 0)");
+}
+
 TEST(ExperimentSpecValidate, ResizedFleetsAreCheckedAtTheirLargestSize) {
   // A num_replicas sweep axis and elastic_plan size the homogeneous fleet
   // themselves, so the written size alone does not bound the checks.

@@ -421,6 +421,70 @@ TEST(TenantMetrics, IncompleteRequestsAreSloMisses) {
   EXPECT_NEAR(m.tenant_metrics[0].slo_attainment, 0.5, 1e-12);
 }
 
+TEST(TenantMetrics, FaultBlameSloSplitIsHandComputed) {
+  // Tenant 0 carries an SLO (TTFT 1 s, worst TBT 0.1 s); tenant 1 carries
+  // none, so its requests never enter the split.
+  MetricsCollector collector(1, 1e12, 1);
+  collector.set_tenants({TenantInfo{0, "slo", 0, SloSpec{1.0, 0.1}},
+                         TenantInfo{1, "free", 0, SloSpec{}}});
+  collector.record_request(completed_record(0, 0, 0.2, 0.05));  // clean met
+  collector.record_request(completed_record(1, 0, 2.0, 0.05));  // clean miss
+  RequestRecord retried = completed_record(2, 0, 0.2, 0.05);
+  retried.num_retries = 1;  // impacted, met
+  collector.record_request(retried);
+  RequestRecord handed_off = completed_record(3, 0, 0.2, 0.5);
+  handed_off.num_handoffs = 1;  // impacted, TBT miss
+  collector.record_request(handed_off);
+  RequestRecord shed;
+  shed.id = 4;
+  shed.shed = true;  // impacted miss
+  collector.record_request(shed);
+  RequestRecord lost;
+  lost.id = 5;
+  lost.lost = true;
+  lost.num_retries = 3;  // impacted miss
+  collector.record_request(lost);
+  RequestRecord cut_off;
+  cut_off.id = 6;  // neither completed, shed nor lost: no verdict
+  collector.record_request(cut_off);
+  RequestRecord free_retried = completed_record(7, 1, 5.0, 0.05);
+  free_retried.num_retries = 1;  // no SLO: outside the split
+  collector.record_request(free_retried);
+
+  const SimulationMetrics m = collector.finalize(10.0);
+  EXPECT_EQ(m.resilience.slo_attainment_clean, 1.0 / 2.0);
+  EXPECT_EQ(m.resilience.slo_attainment_impacted, 1.0 / 4.0);
+  // The tenant's own attainment counts the cut-off request as a miss.
+  ASSERT_EQ(m.tenant_metrics.size(), 2u);
+  EXPECT_EQ(m.tenant_metrics[0].num_requests, 7u);
+  EXPECT_EQ(m.tenant_metrics[0].slo_attainment, 2.0 / 7.0);
+  EXPECT_LT(m.tenant_metrics[1].slo_attainment, 0.0);
+}
+
+TEST(TenantMetrics, SloSplitIsEmptyWithoutSloTenants) {
+  MetricsCollector collector(1, 1e12, 1);
+  RequestRecord retried = completed_record(0, 0, 0.2, 0.05);
+  retried.num_retries = 1;
+  collector.record_request(retried);
+  const SimulationMetrics m = collector.finalize(1.0);
+  EXPECT_EQ(m.resilience.slo_attainment_clean, -1.0);
+  EXPECT_EQ(m.resilience.slo_attainment_impacted, -1.0);
+}
+
+TEST(TenantMetrics, TenantsMustPrecedeTheFirstRequest) {
+  MetricsCollector collector(1, 1e12, 1);
+  collector.record_request(completed_record(0, 0, 0.2, 0.05));
+  try {
+    collector.set_tenants({TenantInfo{0, "late", 0, SloSpec{1.0, 0.0}}});
+    FAIL() << "set_tenants after record_request was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("must precede the first "
+                                         "record_request"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TenantMetrics, UnregisteredTagsGetGeneratedNames) {
   MetricsCollector collector(1, 1e12, 1);
   collector.record_request(completed_record(0, 3, 0.1, 0.05));
@@ -428,6 +492,28 @@ TEST(TenantMetrics, UnregisteredTagsGetGeneratedNames) {
   ASSERT_EQ(m.tenant_metrics.size(), 1u);
   EXPECT_EQ(m.tenant_metrics[0].info.name, "tenant3");
   EXPECT_LT(m.tenant_metrics[0].slo_attainment, 0.0);
+}
+
+TEST(TenantMetrics, FirstTagMidRunKeepsTenantZerosEarlierRequests) {
+  // No tenants registered: the run turns tagged at its third request, and
+  // tenant 0's breakdown must still hold the two requests before it.
+  MetricsCollector collector(1, 1e12, 1);
+  collector.record_request(completed_record(0, 0, 0.1, 0.05));
+  collector.record_request(completed_record(1, 0, 0.3, 0.05));
+  collector.record_request(completed_record(2, 5, 2.0, 0.05));
+  collector.record_request(completed_record(3, 0, 0.5, 0.05));
+  const SimulationMetrics m = collector.finalize(1.0);
+  ASSERT_EQ(m.tenant_metrics.size(), 2u);
+  const auto& zero = m.tenant_metrics[0];
+  EXPECT_EQ(zero.info.name, "tenant0");
+  EXPECT_EQ(zero.num_completed, 3u);
+  EXPECT_EQ(zero.ttft.count, 3u);
+  EXPECT_EQ(zero.ttft.p50, 0.3);
+  EXPECT_EQ(zero.ttft.max, 0.5);
+  EXPECT_EQ(zero.scheduling_delay.count, 3u);
+  EXPECT_EQ(m.tenant_metrics[1].ttft.count, 1u);
+  EXPECT_EQ(m.tenant_metrics[1].ttft.max, 2.0);
+  EXPECT_EQ(m.ttft.count, 4u);
 }
 
 TEST(TenantMetrics, TenantInfosMatchScenario) {
