@@ -59,13 +59,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void SampleSeries::ensure_sorted() const {
-  if (sorted_valid_ && sorted_.size() == samples_.size()) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
-}
-
 double SampleSeries::mean() const {
   if (samples_.empty()) return 0.0;
   return sum() / static_cast<double>(samples_.size());
@@ -93,38 +86,42 @@ double SampleSeries::stddev() const {
   return std::sqrt(acc / static_cast<double>(samples_.size()));
 }
 
-double SampleSeries::quantile(double q) const {
-  VIDUR_CHECK_MSG(!samples_.empty(), "quantile of an empty series");
-  VIDUR_CHECK(q >= 0.0 && q <= 1.0);
-  ensure_sorted();
-  if (sorted_.size() == 1) return sorted_.front();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
 void SampleSeries::merge(const SampleSeries& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  sorted_valid_ = false;
 }
 
 namespace {
 
-template <class Series>
-Summary summarize(const Series& s) {
+/// Exact quantile of ascending, non-empty `sorted`, linearly interpolated.
+double sorted_quantile(const std::vector<double>& sorted, double q) {
+  VIDUR_CHECK(q >= 0.0 && q <= 1.0);
+  if (sorted.size() == 1) return sorted.front();
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+std::vector<double> sorted_copy(const std::vector<double>& samples) {
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+template <class Series, class Quantile>
+Summary summarize(const Series& s, const Quantile& quantile) {
   Summary out;
   out.count = s.count();
   if (s.empty()) return out;
   out.mean = s.mean();
   out.stddev = s.stddev();
   out.min = s.min();
-  out.p50 = s.quantile(0.50);
-  out.p90 = s.quantile(0.90);
-  out.p95 = s.quantile(0.95);
-  out.p99 = s.quantile(0.99);
+  out.p50 = quantile(0.50);
+  out.p90 = quantile(0.90);
+  out.p95 = quantile(0.95);
+  out.p99 = quantile(0.99);
   out.max = s.max();
   return out;
 }
@@ -138,6 +135,11 @@ std::size_t home_slot(double x, std::size_t capacity) {
 }
 
 }  // namespace
+
+double SampleSeries::quantile(double q) const {
+  VIDUR_CHECK_MSG(!samples_.empty(), "quantile of an empty series");
+  return sorted_quantile(sorted_copy(samples_), q);
+}
 
 void LatencyDistribution::add(double x, std::size_t n) {
   if (slots_.empty()) slots_.assign(64, Run{0.0, 0});
@@ -237,8 +239,14 @@ double LatencyDistribution::quantile(double q) const {
   return value_at(lo) * (1.0 - frac) + value_at(hi) * frac;
 }
 
-Summary Summary::of(const SampleSeries& s) { return summarize(s); }
+Summary Summary::of(const SampleSeries& s) {
+  // One sorted copy serves every quantile and is freed on return.
+  const std::vector<double> sorted = sorted_copy(s.samples());
+  return summarize(s, [&](double q) { return sorted_quantile(sorted, q); });
+}
 
-Summary Summary::of(const LatencyDistribution& d) { return summarize(d); }
+Summary Summary::of(const LatencyDistribution& d) {
+  return summarize(d, [&](double q) { return d.quantile(q); });
+}
 
 }  // namespace vidur

@@ -49,7 +49,8 @@ class SampleSeries {
   double stddev() const;
 
   /// Exact quantile with linear interpolation, q in [0, 1].
-  /// Requires a non-empty series.
+  /// Requires a non-empty series. Sorts a copy of the samples per call;
+  /// Summary::of sorts once for all its quantiles.
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
 
@@ -57,10 +58,7 @@ class SampleSeries {
   void merge(const SampleSeries& other);
 
  private:
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;      // lazily maintained cache
-  mutable bool sorted_valid_ = false;
-  void ensure_sorted() const;
+  std::vector<double> samples_;  ///< insertion order (fixes sum's order)
 };
 
 /// Exact run-length multiset of latency samples: each distinct value with

@@ -45,7 +45,16 @@ MetricsCollector::MetricsCollector(std::vector<PoolResources> pools,
                     "pool_of_slot entry " << p << " out of range");
     ++pool_slots_[static_cast<std::size_t>(p)];
   }
-  pool_accs_.assign(pools_.size(), PoolAcc{});
+  slot_sums_.assign(pool_of_slot_.size(), BatchSums{});
+}
+
+void MetricsCollector::BatchSums::add(const BatchSums& o) {
+  flops += o.flops;
+  hbm_bytes += o.hbm_bytes;
+  busy_time += o.busy_time;
+  kv_util_time += o.kv_util_time;
+  batch_size_time += o.batch_size_time;
+  busy_energy_joules += o.busy_energy_joules;
 }
 
 MetricsCollector::MetricsCollector(int num_replicas,
@@ -99,30 +108,22 @@ double batch_energy_joules(const BatchRecord& record, double duration,
 void MetricsCollector::record_batch(const BatchRecord& record) {
   const double duration = record.end_time - record.start_time;
   VIDUR_CHECK(duration >= 0);
-  total_flops_ += record.flops;
-  total_hbm_bytes_ += static_cast<double>(record.hbm_bytes_per_gpu);
-  total_busy_time_ += duration;
-  weighted_kv_util_ += record.kv_utilization * duration;
-  weighted_batch_size_ += static_cast<double>(record.batch_size) * duration;
-  total_q_tokens_ += record.q_tokens;
-  ++total_batches_;
-
   const auto slot = static_cast<std::size_t>(record.replica);
   VIDUR_CHECK_MSG(slot < pool_of_slot_.size(),
                   "batch replica " << record.replica
                                    << " outside the pool slot layout");
-  const auto pool = static_cast<std::size_t>(pool_of_slot_[slot]);
-  const PoolResources& res = pools_[pool];
-  const double energy = batch_energy_joules(
+  const PoolResources& res =
+      pools_[static_cast<std::size_t>(pool_of_slot_[slot])];
+  BatchSums& sums = slot_sums_[slot];
+  sums.flops += record.flops;
+  sums.hbm_bytes += static_cast<double>(record.hbm_bytes_per_gpu);
+  sums.busy_time += duration;
+  sums.kv_util_time += record.kv_utilization * duration;
+  sums.batch_size_time += static_cast<double>(record.batch_size) * duration;
+  sums.busy_energy_joules += batch_energy_joules(
       record, duration, res.gpus_per_replica, res.peak_flops_per_gpu,
       res.hbm_bytes_per_sec_per_gpu, res.idle_watts_per_gpu,
       res.peak_watts_per_gpu);
-  busy_energy_joules_ += energy;
-  PoolAcc& acc = pool_accs_[pool];
-  acc.flops += record.flops;
-  acc.hbm_bytes += static_cast<double>(record.hbm_bytes_per_gpu);
-  acc.busy_time += duration;
-  acc.busy_energy_joules += energy;
 }
 
 void MetricsCollector::set_tenants(const std::vector<TenantInfo>& tenants) {
@@ -233,11 +234,19 @@ SimulationMetrics MetricsCollector::finalize(
   m.resilience.slo_attainment_clean = slo_clean_.attainment();
   m.resilience.slo_attainment_impacted = slo_impacted_.attainment();
 
+  BatchSums fleet;
+  std::vector<BatchSums> pool_sums(pools_.size());
+  for (std::size_t slot = 0; slot < slot_sums_.size(); ++slot) {
+    fleet.add(slot_sums_[slot]);
+    pool_sums[static_cast<std::size_t>(pool_of_slot_[slot])].add(
+        slot_sums_[slot]);
+  }
+
   if (now > 0) {
     m.throughput_qps = static_cast<double>(m.num_completed) / now;
     m.output_tokens_per_sec = static_cast<double>(output_tokens_) / now;
     const int slots = static_cast<int>(pool_of_slot_.size());
-    m.busy_fraction = total_busy_time_ / (now * slots);
+    m.busy_fraction = fleet.busy_time / (now * slots);
     // Fleet MFU over the summed peak FLOPs; MBU over the summed per-GPU
     // bandwidth of every replica (hbm bytes are recorded per GPU, and a
     // replica's GPUs move them in parallel). Idle draw is billed against
@@ -251,7 +260,7 @@ SimulationMetrics MetricsCollector::finalize(
       peak_flops = r.peak_flops_per_gpu * r.gpus_per_replica * slots;
       bandwidth = now * slots * r.hbm_bytes_per_sec_per_gpu;
       idle_joules =
-          (scaling.gpu_hours * 3600.0 - total_busy_time_ * r.gpus_per_replica) *
+          (scaling.gpu_hours * 3600.0 - fleet.busy_time * r.gpus_per_replica) *
           r.idle_watts_per_gpu;
       energy = r.peak_watts_per_gpu > 0;
     } else {
@@ -264,24 +273,25 @@ SimulationMetrics MetricsCollector::finalize(
         peak_flops += r.peak_flops_per_gpu * r.gpus_per_replica * n;
         bandwidth += now * n * r.hbm_bytes_per_sec_per_gpu;
         idle_joules += (scaling.pools[i].gpu_hours * 3600.0 -
-                        pool_accs_[i].busy_time * r.gpus_per_replica) *
+                        pool_sums[i].busy_time * r.gpus_per_replica) *
                        r.idle_watts_per_gpu;
         energy |= r.peak_watts_per_gpu > 0;
       }
     }
-    m.mfu = total_flops_ / (now * peak_flops);
-    if (bandwidth > 0) m.mbu = total_hbm_bytes_ / bandwidth;
+    m.mfu = fleet.flops / (now * peak_flops);
+    if (bandwidth > 0) m.mbu = fleet.hbm_bytes / bandwidth;
     if (energy) {
-      m.total_energy_joules = busy_energy_joules_ + std::max(0.0, idle_joules);
+      m.total_energy_joules =
+          fleet.busy_energy_joules + std::max(0.0, idle_joules);
       if (output_tokens_ > 0)
         m.energy_per_output_token =
             m.total_energy_joules / static_cast<double>(output_tokens_);
       m.mean_cluster_power_watts = m.total_energy_joules / now;
     }
   }
-  if (total_busy_time_ > 0) {
-    m.mean_kv_utilization = weighted_kv_util_ / total_busy_time_;
-    m.mean_batch_size = weighted_batch_size_ / total_busy_time_;
+  if (fleet.busy_time > 0) {
+    m.mean_kv_utilization = fleet.kv_util_time / fleet.busy_time;
+    m.mean_batch_size = fleet.batch_size_time / fleet.busy_time;
   }
   m.operator_stats = operator_stats_;
 
@@ -290,7 +300,7 @@ SimulationMetrics MetricsCollector::finalize(
   if (m.scaling.pools.size() == pools_.size()) {
     for (std::size_t i = 0; i < pools_.size(); ++i) {
       const PoolResources& res = pools_[i];
-      const PoolAcc& acc = pool_accs_[i];
+      const BatchSums& acc = pool_sums[i];
       PoolScalingReport& p = m.scaling.pools[i];
       const double paid_replica_seconds = p.replica_hours * 3600.0;
       const double paid_gpu_seconds = p.gpu_hours * 3600.0;

@@ -121,7 +121,6 @@ struct BatchRecord {
   ReplicaId replica = 0;
   Seconds start_time = 0.0;
   Seconds end_time = 0.0;
-  TokenCount q_tokens = 0;
   int batch_size = 0;
   FlopCount flops = 0.0;
   ByteCount hbm_bytes_per_gpu = 0;  ///< HBM traffic per GPU (MBU accounting)
@@ -314,9 +313,10 @@ struct SimulationMetrics {
 };
 
 /// Folds each request record once, as it arrives, into exact per-request
-/// series, per-tenant accumulators and the fault-blame SLO split; keeps
-/// streaming batch accumulators and per-tenant TBT distributions; and
-/// aggregates them all at the end. Records are not retained.
+/// series, per-tenant accumulators and the fault-blame SLO split; folds each
+/// batch once into its own slot's accumulator; keeps per-tenant TBT
+/// distributions; and aggregates them all at the end. Records are not
+/// retained.
 class MetricsCollector {
  public:
   /// `pools` carries each pool's rates, in pool order (the scaling report's
@@ -334,6 +334,10 @@ class MetricsCollector {
   /// judges each request against its tenant's SLO as it arrives.
   void set_tenants(const std::vector<TenantInfo>& tenants);
 
+  /// Fold one batch into its replica slot's accumulator, and nothing else:
+  /// calls for distinct slots may run concurrently (the sharded engine's
+  /// threads each fold their own replicas). One slot's calls must come in
+  /// that replica's batch order, which fixes every sum's summation order.
   void record_batch(const BatchRecord& record);
   /// Fold one terminal (or cut-off) request. Fleet series keep the order
   /// of the calls, so the caller fixes the summaries' summation order.
@@ -348,7 +352,10 @@ class MetricsCollector {
   /// `request.tbt_worst_s` and `request.e2e_s` entries (exact, from the
   /// same series as the summaries); the caller adds counters and gauges.
   /// `now` is the simulation end time (makespan); `scaling` is
-  /// the fleet's scaling report, attached to the result. Idle energy is
+  /// the fleet's scaling report, attached to the result. The batch sums
+  /// reduce the slot accumulators in slot order, into the fleet's and into
+  /// each pool's, so the result does not depend on how batches of
+  /// different slots interleaved in time. Idle energy is
   /// billed on the fleet's paid GPU-time — an autoscaled run pays idle
   /// watts only while a replica is up — with one fleet-wide clamp, and the
   /// report's pools receive their exact MFU/MBU/busy/energy breakout. A
@@ -360,12 +367,17 @@ class MetricsCollector {
                              const ClusterScalingReport& scaling) const;
 
  private:
-  /// Streaming per-pool accumulators (exact attribution).
-  struct PoolAcc {
+  /// Batch sums of one slot (and, reduced, of a pool or the fleet). A
+  /// cache line each, so shard threads folding neighbouring slots never
+  /// share one.
+  struct alignas(64) BatchSums {
     double flops = 0.0;
     double hbm_bytes = 0.0;
     double busy_time = 0.0;
+    double kv_util_time = 0.0;     ///< KV utilization x duration
+    double batch_size_time = 0.0;  ///< batch size x duration
     double busy_energy_joules = 0.0;
+    void add(const BatchSums& o);
   };
 
   /// One tenant's share of the request fold. The series fill only once
@@ -402,17 +414,9 @@ class MetricsCollector {
   std::map<TenantId, TenantAcc> tenant_accs_;
   SloSplit slo_clean_, slo_impacted_;
   std::map<TenantId, LatencyDistribution> tbt_by_tenant_;
-  std::vector<PoolAcc> pool_accs_;
-  // Streaming replica-level accumulators (batch records are not retained).
-  double total_flops_ = 0.0;
-  double total_hbm_bytes_ = 0.0;
-  double total_busy_time_ = 0.0;
-  double weighted_kv_util_ = 0.0;
-  double weighted_batch_size_ = 0.0;
-  /// Sum of every batch's energy at its own pool's rates, in batch order.
-  double busy_energy_joules_ = 0.0;
-  std::int64_t total_batches_ = 0;
-  TokenCount total_q_tokens_ = 0;
+  /// The batch fold, one accumulator per slot (batch records are not
+  /// retained); energy is at the slot's own pool rates.
+  std::vector<BatchSums> slot_sums_;
   std::map<OpType, SimulationMetrics::OperatorStats> operator_stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
 #include "obs/rolling.h"
@@ -493,7 +494,6 @@ SimulationMetrics Simulator::run() {
               !config_.collect_operator_metrics && num_slots_ > 0;
   if (preroute_) {
     shards_.resize(static_cast<std::size_t>(num_slots_));
-    shard_batch_seq_.resize(static_cast<std::size_t>(num_slots_));
     for (ReplicaId r = 0; r < num_slots_; ++r) {
       SimShard& shard = shards_[static_cast<std::size_t>(r)];
       shard.replica = r;
@@ -619,7 +619,8 @@ void Simulator::shard_round(Seconds window) {
   if (team_ != nullptr && dirty_scratch_.size() > 1) {
     // Strided assignment over the dirty list. Which worker runs which
     // shard never affects the result: everything a shard touches is
-    // private, and merge_round imposes the global order afterwards.
+    // private (its replica, its staging, its own slot of the metrics
+    // collector), and the barrier below reduces in shard order.
     const std::size_t stride = team_->size();
     team_->run([this, window, stride](std::size_t worker) {
       for (std::size_t i = worker; i < dirty_scratch_.size(); i += stride)
@@ -630,7 +631,19 @@ void Simulator::shard_round(Seconds window) {
     for (const int r : dirty_scratch_)
       run_shard(shards_[static_cast<std::size_t>(r)], window);
   }
-  merge_round();
+  // The window barrier: the round's completion tallies reach the fleet
+  // counters before any central event (the fault injector's work_remaining
+  // hook) reads them.
+  for (const int r : dirty_scratch_) {
+    SimShard& shard = shards_[static_cast<std::size_t>(r)];
+    ctr_batches_->inc(static_cast<std::uint64_t>(shard.batches));
+    ctr_completions_->inc(static_cast<std::uint64_t>(shard.completions));
+    remaining_requests_ -= static_cast<std::size_t>(shard.completions);
+    last_batch_end_ = std::max(last_batch_end_, shard.last_batch_end);
+    shard.batches = 0;
+    shard.completions = 0;
+  }
+  if (trace_rec_ != nullptr) merge_round();
 }
 
 void Simulator::run_shard(SimShard& shard, Seconds window) {
@@ -654,76 +667,47 @@ void Simulator::run_shard(SimShard& shard, Seconds window) {
 }
 
 void Simulator::merge_round() {
-  // k-way scan by (time, shard, stream position): with a handful of dirty
-  // shards per round a linear scan beats a heap, and the tie-break makes
-  // the merged order total — the source of the bit-identical-at-any-
-  // thread-count guarantee.
-  const std::size_t n = shards_.size();
-  merge_rec_cur_.assign(n, 0);
-  merge_done_cur_.assign(n, 0);
-  for (;;) {
-    std::size_t best = n;
-    bool best_done = false;
-    Seconds best_time = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      SimShard& shard = shards_[r];
-      const std::size_t rec = merge_rec_cur_[r];
-      const std::size_t done = merge_done_cur_[r];
-      const std::size_t num_rec = shard.staging.staged().size();
-      bool is_done;
-      Seconds t;
-      // Within one shard the two streams interleave positionally: the op
-      // staged at trace position p precedes the record at p (both streams
-      // are time-nondecreasing, so no time comparison is needed).
-      if (done < shard.done.size() && shard.done[done].trace_pos <= rec) {
-        is_done = true;
-        t = shard.done[done].record.end_time;
-      } else if (rec < num_rec) {
-        is_done = false;
-        t = shard.staging.staged()[rec].time;
-      } else if (done < shard.done.size()) {
-        is_done = true;
-        t = shard.done[done].record.end_time;
-      } else {
-        continue;
-      }
-      if (best == n || t < best_time) {
-        best = r;
-        best_done = is_done;
-        best_time = t;
-      }
-    }
-    if (best == n) break;
-    SimShard& shard = shards_[best];
-    if (best_done) {
-      const ShardDone& op = shard.done[merge_done_cur_[best]++];
-      metrics_.record_batch(op.record);
-      ctr_batches_->inc();
-      ctr_completions_->inc(static_cast<std::uint64_t>(op.completions));
-      remaining_requests_ -= static_cast<std::size_t>(op.completions);
-      last_batch_end_ = std::max(last_batch_end_, op.record.end_time);
+  // k-way merge of the dirty shards' staged records by (time, shard,
+  // stream position). The min-heap holds one entry per shard — the record
+  // at its cursor — so (time, shard) orders it totally, and each shard's
+  // own stream is already in time order. The order is the source of the
+  // bit-identical-at-any-thread-count guarantee for traces.
+  const std::greater<> later;
+  merge_heap_.clear();
+  for (const int r : dirty_scratch_) {
+    SimShard& shard = shards_[static_cast<std::size_t>(r)];
+    shard.merge_cursor = 0;
+    if (!shard.staging.staged().empty())
+      merge_heap_.push_back({shard.staging.staged().front().time, r});
+  }
+  std::make_heap(merge_heap_.begin(), merge_heap_.end(), later);
+  while (!merge_heap_.empty()) {
+    std::pop_heap(merge_heap_.begin(), merge_heap_.end(), later);
+    const int r = merge_heap_.back().second;
+    SimShard& shard = shards_[static_cast<std::size_t>(r)];
+    const std::vector<TraceRecord>& staged = shard.staging.staged();
+    TraceRecord record = staged[shard.merge_cursor++];
+    if (shard.merge_cursor < staged.size()) {
+      merge_heap_.back().first = staged[shard.merge_cursor].time;
+      std::push_heap(merge_heap_.begin(), merge_heap_.end(), later);
     } else {
-      TraceRecord record = shard.staging.staged()[merge_rec_cur_[best]++];
-      // Batch records were staged under provisional shard-local sequence
-      // numbers (-(local) - 2); the merge order assigns the globals.
-      if (record.id <= -2 && record.kind == TraceEventKind::kBatchStart) {
-        auto& seq_map = shard_batch_seq_[best];
-        const auto local = static_cast<std::size_t>(-record.id) - 2;
-        if (local >= seq_map.size()) seq_map.resize(local + 1, -1);
-        seq_map[local] = next_batch_seq_++;
-        record.id = seq_map[local];
-      } else if (record.id <= -2 &&
-                 record.kind == TraceEventKind::kBatchEnd) {
-        record.id =
-            shard_batch_seq_[best][static_cast<std::size_t>(-record.id) - 2];
-      }
-      trace_rec_->emit(record);
+      merge_heap_.pop_back();
     }
+    // Batch records were staged under provisional shard-local sequence
+    // numbers (-(local) - 2); the merge order assigns the globals.
+    if (record.id <= -2 && record.kind == TraceEventKind::kBatchStart) {
+      const auto local = static_cast<std::size_t>(-record.id) - 2;
+      if (local >= shard.batch_seq.size())
+        shard.batch_seq.resize(local + 1, -1);
+      shard.batch_seq[local] = next_batch_seq_++;
+      record.id = shard.batch_seq[local];
+    } else if (record.id <= -2 && record.kind == TraceEventKind::kBatchEnd) {
+      record.id = shard.batch_seq[static_cast<std::size_t>(-record.id) - 2];
+    }
+    trace_rec_->emit(record);
   }
-  for (SimShard& shard : shards_) {
-    shard.staging.clear();
-    shard.done.clear();
-  }
+  for (const int r : dirty_scratch_)
+    shards_[static_cast<std::size_t>(r)].staging.clear();
 }
 
 void Simulator::dispatch(const SimEvent& event) {
@@ -1005,7 +989,6 @@ void Simulator::finish_batch(ReplicaId replica_id,
   record.replica = replica_id;
   record.start_time = batch.start_time;
   record.end_time = sim_now();
-  record.q_tokens = batch.agg.total_q;
   record.batch_size = batch.spec.size();
   record.flops = batch.flops;
   const ParallelConfig& parallel = parallel_of(replica_id);
@@ -1020,16 +1003,16 @@ void Simulator::finish_batch(ReplicaId replica_id,
   }
 
   const auto finished = replica.scheduler->on_batch_end(batch.spec, sim_now());
+  // The collector folds per slot, so a shard thread folds its own batches.
+  metrics_.record_batch(record);
   if (tls_shard_ != nullptr) {
-    // Shard context: the cross-shard effects (batch metrics, fleet
-    // counters, remaining-work accounting) are staged and applied at the
-    // merge barrier in global time order; trace_pos pins this op's
-    // interleave position within the shard's record stream.
-    tls_shard_->done.push_back(
-        ShardDone{record, static_cast<std::int64_t>(finished.size()),
-                  tls_shard_->staging.staged().size()});
+    // Shard context: the fleet counters and remaining-work accounting are
+    // shared, so the shard tallies them until the window barrier.
+    SimShard& shard = *tls_shard_;
+    ++shard.batches;
+    shard.completions += static_cast<std::int64_t>(finished.size());
+    shard.last_batch_end = sim_now();
   } else {
-    metrics_.record_batch(record);
     ctr_batches_->inc();
     ctr_completions_->inc(finished.size());
     rolling_completions(replica_id, finished);

@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_manager.h"
@@ -108,9 +109,10 @@ struct SimulationConfig {
   /// `execution.threads`, default 1). Replicas advance on private event
   /// queues inside conservative time windows bounded by the next central
   /// event (a routing decision, autoscaler tick, fault edge or KV
-  /// migration); the per-shard streams merge deterministically at every
-  /// window boundary, so the result is bit-identical at every thread
-  /// count. Must be 1 for configurations whose cross-shard events have
+  /// migration). Each shard folds its own batch metrics per slot, and the
+  /// per-shard trace streams merge deterministically at every window
+  /// boundary, so the result is bit-identical at every thread count.
+  /// Must be 1 for configurations whose cross-shard events have
   /// zero lookahead or whose collection is not thread-safe (disaggregated
   /// serving, operator metrics).
   int threads = 1;
@@ -209,32 +211,26 @@ class Simulator {
   const std::vector<int>& outstanding_counts(int count) const;
 
   // ---- sharded windowed engine ----
-  /// Deferred cross-shard effect of one batch that completed inside a
-  /// window round. Shard threads only stage these; the merge barrier
-  /// applies them (batch metrics, fleet counters, remaining-work
-  /// accounting) in global (time, shard, position) order, so the shared
-  /// aggregation state is only ever touched by the driving thread.
-  struct ShardDone {
-    BatchRecord record;  ///< record.end_time orders the op globally
-    std::int64_t completions = 0;
-    /// Staged trace records emitted before this op — its interleave
-    /// position within the shard's trace stream.
-    std::uint64_t trace_pos = 0;
-  };
-  /// One replica's private simulation timeline: its own event queue plus
-  /// the staging buffers drained at every window boundary. Everything a
-  /// shard thread mutates while running events lives here or in the
-  /// matching Replica — nothing shared, no locks on the hot path.
+  /// One replica's private simulation timeline: its own event queue, the
+  /// trace records it staged and its completion tallies, drained at every
+  /// window barrier. Everything a shard thread mutates while running events
+  /// lives here, in the matching Replica or in the replica's own slot of
+  /// the metrics collector — nothing shared, no locks on the hot path.
   struct SimShard {
     ReplicaId replica = -1;
     EventQueue events;
     /// Trace records staged in shard-local order (unbounded — merged and
     /// cleared every round, so it never grows past one window's output).
     TraceRecorder staging{TraceRecorder::kUnbounded};
-    std::vector<ShardDone> done;
+    std::size_t merge_cursor = 0;  ///< next staged record to merge
     /// Next shard-local batch sequence number; staged records carry the
     /// provisional id -(local)-2 until the merge assigns global seqs.
     std::int64_t next_local_batch = 0;
+    std::vector<std::int64_t> batch_seq;  ///< local -> global batch seq
+    // Completion tallies of the current round, reduced at its barrier.
+    std::int64_t batches = 0;
+    std::int64_t completions = 0;
+    Seconds last_batch_end = 0.0;
     std::int64_t arrivals = 0;  ///< summed into requests.arrivals at end
   };
 
@@ -249,11 +245,12 @@ class Simulator {
   /// max_sim_time), with tls_shard_ pointing at it.
   void run_shard(SimShard& shard, Seconds window);
   /// One conservative round: advance every shard with pending work below
-  /// `window` (in parallel when a team exists), then merge.
+  /// `window` (in parallel when a team exists), reduce the shards'
+  /// completion tallies in shard order, then merge their trace records.
   void shard_round(Seconds window);
-  /// Deterministic k-way merge of the round's staged trace records and
-  /// completion ops by (time, shard, position); assigns global batch
-  /// sequence numbers and applies the deferred aggregation.
+  /// Deterministic k-way heap merge of the round's staged trace records by
+  /// (time, shard, position); assigns global batch sequence numbers. Batch
+  /// metrics need no merge: the collector folds them per slot.
   void merge_round();
 
   // ---- pools ----
@@ -385,11 +382,9 @@ class Simulator {
   /// to the legacy single-queue order exactly.
   bool preroute_ = false;
   std::vector<SimShard> shards_;  ///< one per slot when preroute_, else empty
-  /// Per-shard local -> global batch sequence map (grown at merge time).
-  std::vector<std::vector<std::int64_t>> shard_batch_seq_;
   std::vector<int> dirty_scratch_;  ///< shards with work this round
-  std::vector<std::size_t> merge_rec_cur_;   ///< merge cursors: records
-  std::vector<std::size_t> merge_done_cur_;  ///< merge cursors: done ops
+  /// merge_round's heap: (head record time, shard) per non-empty shard.
+  std::vector<std::pair<Seconds, int>> merge_heap_;
   std::unique_ptr<SpinTeam> team_;  ///< threads > 1 and > 1 shard only
   /// The running thread's shard during a window round, null in central
   /// context (and always on the legacy path).

@@ -4,8 +4,11 @@
 
 #include <initializer_list>
 #include <string>
+#include <vector>
 
+#include "api/result.h"
 #include "common/check.h"
+#include "common/random.h"
 #include "metrics/metrics.h"
 
 namespace vidur {
@@ -355,6 +358,149 @@ TEST(MetricsEnergy, InvalidPowerModelThrows) {
   PoolResources pool = one_gpu_pool();
   pool.peak_watts_per_gpu = 50.0;  // below idle
   EXPECT_THROW(one_pool_collector(pool), Error);
+}
+
+// ---------------------------------------------------------- per-slot fold
+
+/// A scaling report billing every slot of every pool for the whole run.
+ClusterScalingReport full_time_report(const std::vector<PoolResources>& pools,
+                                      const std::vector<int>& pool_of_slot,
+                                      Seconds now) {
+  ClusterScalingReport scaling;
+  scaling.fleet_size = static_cast<int>(pool_of_slot.size());
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    PoolScalingReport pool;
+    pool.name = pools[i].name;
+    pool.gpus_per_replica = pools[i].gpus_per_replica;
+    for (const int p : pool_of_slot) pool.slots += p == static_cast<int>(i);
+    pool.replica_hours = pool.slots * now / 3600.0;
+    pool.gpu_hours = pool.replica_hours * pool.gpus_per_replica;
+    scaling.replica_hours += pool.replica_hours;
+    scaling.gpu_hours += pool.gpu_hours;
+    scaling.pools.push_back(pool);
+  }
+  return scaling;
+}
+
+TEST(Metrics, BatchFoldIsPerSlot) {
+  // The sharded engine's threads fold their own slots' batches in any
+  // cross-slot interleaving; only each slot's own order is fixed. Two
+  // interleavings of the same per-slot sequences must finalize to the same
+  // bytes, fleet and per-pool fields alike. The values are irregular so
+  // that a cross-slot summation order would show in the last digits.
+  PoolResources a = one_gpu_pool();
+  a.name = "a";
+  a.gpus_per_replica = 2;
+  PoolResources b = one_gpu_pool();
+  b.name = "b";
+  b.peak_flops_per_gpu = 3e11;
+  b.hbm_bytes_per_sec_per_gpu = 7e11;
+  const std::vector<PoolResources> pools = {a, b};
+  const std::vector<int> pool_of_slot = {0, 0, 0, 1, 1};
+  const auto slots = pool_of_slot.size();
+
+  Rng rng(42);
+  std::vector<std::vector<BatchRecord>> per_slot(slots);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    Seconds t = rng.uniform();
+    for (int k = 0; k < 50; ++k) {
+      BatchRecord batch;
+      batch.replica = static_cast<ReplicaId>(slot);
+      batch.start_time = t;
+      t += 0.01 + 0.1 * rng.uniform();
+      batch.end_time = t;
+      batch.flops = 1e11 * rng.uniform();
+      batch.hbm_bytes_per_gpu = static_cast<ByteCount>(5e10 * rng.uniform());
+      batch.batch_size = 1 + static_cast<int>(64 * rng.uniform());
+      batch.kv_utilization = rng.uniform();
+      per_slot[slot].push_back(batch);
+    }
+  }
+  const Seconds now = 10.0;
+  const ClusterScalingReport scaling =
+      full_time_report(pools, pool_of_slot, now);
+
+  // Slot-major in reverse slot order, then batch-major across slots.
+  MetricsCollector by_slot(pools, pool_of_slot);
+  for (std::size_t slot = slots; slot-- > 0;)
+    for (const BatchRecord& batch : per_slot[slot]) by_slot.record_batch(batch);
+  MetricsCollector by_batch(pools, pool_of_slot);
+  for (std::size_t k = 0; k < per_slot[0].size(); ++k)
+    for (std::size_t slot = 0; slot < slots; ++slot)
+      by_batch.record_batch(per_slot[slot][k]);
+
+  const SimulationMetrics m = by_slot.finalize(now, scaling);
+  EXPECT_GT(m.mfu, 0.0);
+  EXPECT_GT(m.total_energy_joules, 0.0);
+  EXPECT_EQ(metrics_to_json(m).dump(),
+            metrics_to_json(by_batch.finalize(now, scaling)).dump());
+}
+
+TEST(Metrics, TwoPoolSlotSumsMatchHandComputedValues) {
+  // Pool "fast" has two slots, pool "slow" one; batches of different
+  // slots arrive interleaved. Every number is exact by hand.
+  PoolResources fast;  // slots 0 and 1
+  fast.name = "fast";
+  fast.peak_flops_per_gpu = 100.0;
+  fast.hbm_bytes_per_sec_per_gpu = 50.0;
+  fast.idle_watts_per_gpu = 10.0;
+  fast.peak_watts_per_gpu = 110.0;
+  PoolResources slow;  // slot 2
+  slow.name = "slow";
+  slow.peak_flops_per_gpu = 50.0;
+  slow.hbm_bytes_per_sec_per_gpu = 100.0;
+  slow.idle_watts_per_gpu = 20.0;
+  slow.peak_watts_per_gpu = 120.0;
+  const std::vector<int> pool_of_slot = {0, 0, 1};
+  MetricsCollector collector({fast, slow}, pool_of_slot);
+
+  const auto batch = [](ReplicaId slot, Seconds start, Seconds end,
+                        FlopCount flops, ByteCount hbm, int size, double kv) {
+    BatchRecord r;
+    r.replica = slot;
+    r.start_time = start;
+    r.end_time = end;
+    r.flops = flops;
+    r.hbm_bytes_per_gpu = hbm;
+    r.batch_size = size;
+    r.kv_utilization = kv;
+    return r;
+  };
+  // Per batch: FLOP / bandwidth intensity -> busy energy.
+  collector.record_batch(batch(2, 0, 1, 50, 50, 8, 1.0));  // 1.0/0.5 -> 120 J
+  collector.record_batch(batch(0, 0, 2, 100, 25, 2, 0.5));  // .5/.25 -> 120 J
+  collector.record_batch(batch(1, 0, 4, 200, 100, 1, 0.75));  // .5/.5 -> 240 J
+  collector.record_batch(batch(2, 1, 3, 25, 100, 2, 0.5));  // .25/.5 -> 140 J
+  collector.record_batch(batch(0, 2, 4, 200, 0, 4, 0.25));  // 1.0/0 -> 220 J
+
+  const SimulationMetrics m = collector.finalize(
+      10.0, full_time_report({fast, slow}, pool_of_slot, 10.0));
+  ASSERT_EQ(m.scaling.pools.size(), 2u);
+  const PoolScalingReport& f = m.scaling.pools[0];
+  const PoolScalingReport& s = m.scaling.pools[1];
+
+  // fast, 20 paid s: 500 flops / (20 s * 100) = 0.25; 125 B / (20 s * 50)
+  // = 0.125; busy 8 / 20; 580 J busy + 12 idle s * 10 W = 700 J.
+  EXPECT_DOUBLE_EQ(f.mfu, 0.25);
+  EXPECT_DOUBLE_EQ(f.mbu, 0.125);
+  EXPECT_DOUBLE_EQ(f.busy_fraction, 0.4);
+  EXPECT_DOUBLE_EQ(f.energy_joules, 700.0);
+  // slow, 10 paid s: 75 / (10 * 50) = 0.15; 150 / (10 * 100) = 0.15;
+  // busy 3 / 10; 260 J busy + 7 idle s * 20 W = 400 J.
+  EXPECT_DOUBLE_EQ(s.mfu, 0.15);
+  EXPECT_DOUBLE_EQ(s.mbu, 0.15);
+  EXPECT_DOUBLE_EQ(s.busy_fraction, 0.3);
+  EXPECT_DOUBLE_EQ(s.energy_joules, 400.0);
+
+  // The fleet: 575 flops / (10 s * 250) ; 275 B / (10 s * 200); 11 busy
+  // replica-s of 30; time-weighted batch size 28 / 11 and KV 6.5 / 11;
+  // energy is the pools' 700 + 400 J.
+  EXPECT_DOUBLE_EQ(m.mfu, 575.0 / 2500.0);
+  EXPECT_DOUBLE_EQ(m.mbu, 275.0 / 2000.0);
+  EXPECT_DOUBLE_EQ(m.busy_fraction, 11.0 / 30.0);
+  EXPECT_DOUBLE_EQ(m.mean_batch_size, 28.0 / 11.0);
+  EXPECT_DOUBLE_EQ(m.mean_kv_utilization, 6.5 / 11.0);
+  EXPECT_DOUBLE_EQ(m.total_energy_joules, 1100.0);
 }
 
 // --------------------------------------------------------------- operators

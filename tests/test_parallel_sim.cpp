@@ -148,6 +148,45 @@ TEST(ParallelSim, ShardedRunReplaysTheCentralOrder) {
   }
 }
 
+TEST(ParallelSim, WideShardedFleetReplaysTheCentralOrder) {
+  // Sixteen slots under straggler faults: every window merges the trace
+  // records of many dirty shards through the heap, and each shard thread
+  // folds its own slots' batch metrics. The sharded run must reproduce the
+  // central single-queue run byte for byte at every thread count.
+  ExperimentSpec spec;
+  spec.name = "wide-sharded-vs-central";
+  spec.with_parallelism(1, 1, 16)
+      .with_scheduler(SchedulerKind::kVllm, 64)
+      .with_trace("chat1m", 16.0, 480)
+      .with_seed(9);
+  FaultProfile straggler;
+  straggler.degrade_mtbf_s = 10.0;
+  straggler.degrade_factor = 1.5;
+  straggler.degrade_duration_s = 4.0;
+  FaultConfig faults;
+  faults.seed = 4;
+  faults.profiles = {straggler};
+  spec.with_faults(faults);
+  ExperimentSpec central = spec;
+  central.obs.rolling_window_s = 10.0;
+
+  VidurSession session(model_by_name(spec.model));
+  run_shared(session, spec, 1);  // warm the estimator cache, discarded
+  const RunDump replay = run_shared(session, central, 1);
+  ASSERT_GT(JsonValue::parse(replay.result)
+                .find("resilience")
+                ->find("degrade_events")
+                ->as_int(),
+            1);
+  for (const int threads : {1, 4, 8}) {
+    const RunDump sharded = run_shared(session, spec, threads);
+    EXPECT_EQ(without_rolling(sharded.result), without_rolling(replay.result))
+        << "sharded and central results diverged at threads=" << threads;
+    EXPECT_EQ(sharded.trace, replay.trace)
+        << "sharded and central traces diverged at threads=" << threads;
+  }
+}
+
 TEST(ParallelSim, ThreadsKnobRoundTripsLosslessly) {
   // Non-default values survive to_json/from_json; the default is omitted
   // entirely so committed specs stay canonically serialized.
